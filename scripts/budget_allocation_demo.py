@@ -6,6 +6,7 @@ Example:
 """
 
 import argparse
+from fractions import Fraction
 
 from lqdec import ConfigGrid, QuantConfig, gen_matrix, solve_mckp, sweep
 from lqdec.alloc import solution_bits_per_param
@@ -55,26 +56,26 @@ def main():
     print()
     print(header)
     print("-" * 72)
-    for text in args.budgets.split(","):
-        budget = float(text)
-        total_params = sum(table.sizes)
+    budgets = [Fraction(text) for text in args.budgets.split(",")]
+    total_params = sum(table.sizes)
+    for budget in budgets:
         try:
             sol = solve_mckp(table, budget * total_params)
         except InfeasibleBudgetError as exc:
             floor = float(exc.min_storage_bits) / total_params
-            print(f"{budget:>7.2f} infeasible (needs >= {floor:.4f} bits/param)")
+            print(f"{float(budget):>7.2f} infeasible (needs >= {floor:.4f} bits/param)")
             continue
         used = float(sol.total_storage_bits) / total_params
         labels = ", ".join(
             f"{name}={table.configs[ci].label()}"
             for name, ci in zip(names, sol.assignment))
-        print(f"{budget:>7.2f} {used:>7.4f} {sol.total_error:>12.4f}  {labels}")
+        print(f"{float(budget):>7.2f} {used:>7.4f} {sol.total_error:>12.4f}  {labels}")
 
     print()
     print("per-matrix bits at the tightest feasible budget:")
-    feasible = [float(b) for b in args.budgets.split(",")
-                if float(b) * sum(table.sizes) >= sum(min(r) for r in table.storage_bits)]
-    sol = solve_mckp(table, min(feasible) * sum(table.sizes))
+    floor = sum(min(row) for row in table.storage_bits)
+    feasible = [b for b in budgets if b * total_params >= floor]
+    sol = solve_mckp(table, min(feasible) * total_params)
     for name, bits in zip(names, solution_bits_per_param(table, sol)):
         print(f"  {name:>9}: {float(bits):.4f}")
     return 0

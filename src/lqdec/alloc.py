@@ -73,20 +73,25 @@ def default_grid() -> ConfigGrid:
 
 @dataclass
 class SweepTable:
-    """Per-(matrix, config) squared errors and exact storage costs.
+    """Per-(matrix, config) squared errors.
 
     errors[i, c] is the squared final decomposition error of matrix i
-    under config c (NaN marks a cell not swept yet); storage_bits[i][c]
-    is the exact rational bit cost sizes[i] * bits_per_param(c).
+    under config c (NaN marks a cell not swept yet).  Storage costs are
+    not stored: they follow exactly from sizes and configs.
     """
 
     sizes: list
     configs: list
     errors: np.ndarray
-    storage_bits: list
     fisher_weighted: bool
     rank: int
     seed: int
+
+    @property
+    def storage_bits(self) -> list:
+        """Exact rational bit costs: storage_bits[i][c] = sizes[i] * bits(c)."""
+        costs, denom = _storage_costs(self)
+        return [[Fraction(v, denom) for v in row] for row in costs]
 
     def to_json(self) -> dict:
         return {
@@ -96,7 +101,6 @@ class SweepTable:
                 [None if math.isnan(e) else float(e) for e in row]
                 for row in self.errors
             ],
-            "storage_bits": [[float(s) for s in row] for row in self.storage_bits],
             "fisher_weighted": bool(self.fisher_weighted),
             "rank": int(self.rank),
             "seed": int(self.seed),
@@ -109,17 +113,28 @@ class SweepTable:
             [[np.nan if e is None else float(e) for e in row] for row in payload["errors"]],
             dtype=np.float64,
         ).reshape(len(payload["sizes"]), len(configs))
-        # floats serialized from exact binary rationals convert back exactly
-        storage = [[Fraction(s) for s in row] for row in payload["storage_bits"]]
         return cls(
             sizes=[int(s) for s in payload["sizes"]],
             configs=configs,
             errors=errors,
-            storage_bits=storage,
             fisher_weighted=bool(payload["fisher_weighted"]),
             rank=int(payload["rank"]),
             seed=int(payload["seed"]),
         )
+
+
+def _storage_costs(table: SweepTable):
+    """The one derivation of storage costs from sizes and configs.
+
+    Returns (costs, denom): integer costs[i][c] equal to
+    sizes[i] * storage_bits_per_param(configs[c]) * denom, with denom the
+    lcm of the per-config denominators.  An integer total fits a budget
+    exactly when it is <= floor(budget * denom).
+    """
+    per_param = [storage_bits_per_param(cfg) for cfg in table.configs]
+    denom = math.lcm(*(b.denominator for b in per_param))
+    scaled = [b.numerator * (denom // b.denominator) for b in per_param]
+    return [[int(size) * k for k in scaled] for size in table.sizes], denom
 
 
 @dataclass
@@ -136,8 +151,8 @@ class AllocSolution:
         return {
             "assignment": [int(a) for a in self.assignment],
             "total_error": float(self.total_error),
-            "total_storage_bits": float(self.total_storage_bits),
-            "budget_bits": float(self.budget_bits),
+            "total_storage_bits": str(self.total_storage_bits),
+            "budget_bits": str(self.budget_bits),
             "optimal": bool(self.optimal),
         }
 
@@ -209,15 +224,10 @@ def sweep(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
     else:
         errors = np.full((n, c), np.nan)
 
-    sizes = [int(m.shape[0] * m.shape[1]) for m in matrices]
-    storage = [
-        [sizes[i] * storage_bits_per_param(cfg) for cfg in grid.configs]
-        for i in range(n)
-    ]
     table = SweepTable(
-        sizes=sizes, configs=list(grid.configs), errors=errors,
-        storage_bits=storage, fisher_weighted=fishers is not None,
-        rank=rank, seed=seed,
+        sizes=[int(m.shape[0] * m.shape[1]) for m in matrices],
+        configs=list(grid.configs), errors=errors,
+        fisher_weighted=fishers is not None, rank=rank, seed=seed,
     )
 
     pending = [(i, ci) for i in range(n) for ci in range(c) if math.isnan(errors[i, ci])]
@@ -254,22 +264,6 @@ def sweep(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
 # exact multiple-choice knapsack
 # ---------------------------------------------------------------------------
 
-def _storage_integers(table: SweepTable, budget_bits):
-    """Scale all storage costs to integers plus an integer budget cap.
-
-    Returns (int matrix [N][C], cap) with feasibility total <= cap exactly
-    equivalent to the rational comparison against the budget.
-    """
-    budget = Fraction(budget_bits)
-    denom = 1
-    for row in table.storage_bits:
-        for s in row:
-            denom = denom * s.denominator // math.gcd(denom, s.denominator)
-    scaled = [[int(s * denom) for s in row] for row in table.storage_bits]
-    cap = math.floor(budget * denom)
-    return scaled, cap, denom
-
-
 def _validate_table(table: SweepTable):
     n, c = table.errors.shape
     if n != len(table.sizes) or c != len(table.configs):
@@ -288,17 +282,16 @@ def _exact_objective(errors, assignment) -> Fraction:
     return total
 
 
-def solve_mckp(table: SweepTable, budget_bits, prune: bool = True) -> AllocSolution:
+def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
     """Exact minimum-error assignment under a total bit budget.
 
     Branch and bound over matrices ordered by error spread, candidates
     ordered best-error-first, pruned against the LP-relaxation bound.
-    `prune=False` disables the per-class dominance filter (the search
-    still uses LP bounds); it exists to check that pruning is lossless.
     """
     n, c = _validate_table(table)
     budget = Fraction(budget_bits)
-    s_int, cap, denom = _storage_integers(table, budget)
+    s_int, denom = _storage_costs(table)
+    cap = math.floor(budget * denom)
     errors = table.errors
 
     min_storage = sum(min(row) for row in s_int)
@@ -312,7 +305,7 @@ def solve_mckp(table: SweepTable, budget_bits, prune: bool = True) -> AllocSolut
         ci = min(range(c), key=lambda j: (errors[i, j], s_int[i][j]))
         greedy_best.append(ci)
     if sum(s_int[i][greedy_best[i]] for i in range(n)) <= cap:
-        return _finish_solution(table, greedy_best, budget)
+        return _finish_solution(table, greedy_best, budget, s_int, denom)
 
     # Per-class candidate lists: (storage_int, error, orig_idx), storage
     # ascending.  Dominance keeps only items that strictly improve error.
@@ -322,15 +315,13 @@ def solve_mckp(table: SweepTable, budget_bits, prune: bool = True) -> AllocSolut
             ((s_int[i][j], float(errors[i, j]), j) for j in range(c)),
             key=lambda t: (t[0], t[1]),
         )
-        if prune:
-            kept = []
-            best_err = math.inf
-            for s, e, j in items:
-                if e < best_err:
-                    kept.append((s, e, j))
-                    best_err = e
-            items = kept
-        classes.append(items)
+        kept = []
+        best_err = math.inf
+        for s, e, j in items:
+            if e < best_err:
+                kept.append((s, e, j))
+                best_err = e
+        classes.append(kept)
 
     # Process classes with the widest error spread first.
     order = sorted(range(n), key=lambda i: classes[i][0][1] - classes[i][-1][1], reverse=True)
@@ -395,7 +386,7 @@ def solve_mckp(table: SweepTable, budget_bits, prune: bool = True) -> AllocSolut
             margin = 1e-9 * (1.0 + abs(inc_float))
 
     dfs(0, 0, Fraction(0), 0.0)
-    return _finish_solution(table, incumbent_assign, budget)
+    return _finish_solution(table, incumbent_assign, budget, s_int, denom)
 
 
 def _class_hull(items):
@@ -466,15 +457,14 @@ def _greedy_incumbent(classes, hulls, increments, cap, order, n):
     return assignment, exact
 
 
-def _finish_solution(table: SweepTable, assignment, budget: Fraction) -> AllocSolution:
-    total_storage = sum(
-        table.storage_bits[i][ci] for i, ci in enumerate(assignment)
-    )
+def _finish_solution(table: SweepTable, assignment, budget: Fraction,
+                     s_int, denom: int) -> AllocSolution:
+    total_storage = sum(s_int[i][ci] for i, ci in enumerate(assignment))
     exact_error = _exact_objective(table.errors, assignment)
     return AllocSolution(
         assignment=list(assignment),
         total_error=float(exact_error),
-        total_storage_bits=total_storage,
+        total_storage_bits=Fraction(total_storage, denom),
         budget_bits=budget,
         optimal=True,
     )
@@ -492,14 +482,15 @@ def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GU
     if c ** n > guard:
         raise ValueError(f"instance size {c}**{n} exceeds the brute-force guard {guard}")
     budget = Fraction(budget_bits)
-    s_int, cap, denom = _storage_integers(table, budget)
+    s_int, denom = _storage_costs(table)
+    cap = math.floor(budget * denom)
 
     min_storage = sum(min(row) for row in s_int)
     if min_storage > cap:
         raise InfeasibleBudgetError(budget, Fraction(min_storage, denom))
 
     if any(abs(v) > (1 << 60) for row in s_int for v in row):
-        return _brute_force_python(table, budget, s_int, cap, n, c)
+        return _brute_force_python(table, budget, s_int, cap, denom, n, c)
     # any combo fits under a cap this large; clamp so int64 compares are safe
     cap = min(cap, sum(max(row) for row in s_int))
 
@@ -542,10 +533,10 @@ def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GU
             if best_exact is None or exact < best_exact:
                 best_exact = exact
                 best_assign = assignment
-    return _finish_solution(table, best_assign, budget)
+    return _finish_solution(table, best_assign, budget, s_int, denom)
 
 
-def _brute_force_python(table, budget, s_int, cap, n, c):
+def _brute_force_python(table, budget, s_int, cap, denom, n, c):
     best_exact = None
     best_assign = None
     for combo in itertools.product(range(c), repeat=n):
@@ -555,7 +546,7 @@ def _brute_force_python(table, budget, s_int, cap, n, c):
         if best_exact is None or exact < best_exact:
             best_exact = exact
             best_assign = list(combo)
-    return _finish_solution(table, best_assign, budget)
+    return _finish_solution(table, best_assign, budget, s_int, denom)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Every command that writes files also writes a ``*.manifest.json`` next to
 its primary output recording the command, parameters, inputs, outputs,
 and elapsed time.  Sweeps flush their table after each completed row and
-resume from a partial table when rerun with identical parameters.
+resume from a partial table when rerun with identical parameters and
+input file contents.
 
 Exit codes: 0 success, 1 usage error, 2 malformed file, 3 infeasible
 budget, 4 numerical failure.
@@ -12,6 +13,7 @@ budget, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -69,6 +71,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _fraction(text: str) -> Fraction:
+    """Parse a decimal or p/q string exactly, with no float in between."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact number: {text!r}") from None
+
+
+def _fraction_list(text: str) -> list:
+    return [_fraction(part) for part in text.split(",")]
+
+
 def _workers_default(value):
     if value is not None:
         return value
@@ -110,6 +124,19 @@ def _load_grid(path) -> ConfigGrid:
     rows = payload["configs"] if isinstance(payload, dict) else payload
     return ConfigGrid(configs=tuple(QuantConfig(b0, b1, b2, bs0, bs1)
                                     for b0, b1, b2, bs0, bs1 in rows))
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _write_split(prefix: Path, res) -> list:
+    """Write a decomposition as <prefix>.lqq, .l1.lqt and .l2.lqt."""
+    paths = [prefix.with_name(prefix.name + ext) for ext in (".lqq", ".l1.lqt", ".l2.lqt")]
+    write_quantized(paths[0], res.q)
+    write_tensor(paths[1], res.factors.l1)
+    write_tensor(paths[2], res.factors.l2)
+    return paths
 
 
 def _load_fishers(paths, count):
@@ -187,19 +214,13 @@ def cmd_decompose(args) -> int:
     fisher = read_fisher(args.fisher) if args.fisher else None
     res = lq_decompose(w, fisher, cfg, args.rank, max_iters=args.max_iters,
                        seed=args.seed, method=args.method, init=args.init)
-    prefix = Path(args.out_prefix)
-    q_path = prefix.with_name(prefix.name + ".lqq")
-    l1_path = prefix.with_name(prefix.name + ".l1.lqt")
-    l2_path = prefix.with_name(prefix.name + ".l2.lqt")
-    write_quantized(q_path, res.q)
-    write_tensor(l1_path, res.factors.l1)
-    write_tensor(l2_path, res.factors.l2)
+    outputs = _write_split(Path(args.out_prefix), res)
     inputs = [args.input] + ([args.fisher] if args.fisher else [])
-    _write_manifest(q_path, "decompose", {
+    _write_manifest(outputs[0], "decompose", {
         "config": cfg.label(), "rank": args.rank, "max_iters": args.max_iters,
         "seed": args.seed, "method": args.method, "init": args.init,
         "fisher": args.fisher,
-    }, inputs, [q_path, l1_path, l2_path], time.perf_counter() - start, {
+    }, inputs, outputs, time.perf_counter() - start, {
         "error": res.error,
         "error_trace": list(res.error_trace),
         "chosen_iteration": res.chosen_iteration,
@@ -210,10 +231,13 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _sweep_params(args, inputs, grid: ConfigGrid) -> dict:
+def _sweep_params(args, grid: ConfigGrid) -> dict:
+    """Everything a sweep table depends on, input file contents included."""
+    fishers = args.fisher or []
     return {
-        "inputs": [str(p) for p in inputs],
-        "fishers": [str(p) for p in (args.fisher or [])],
+        "inputs": [str(p) for p in args.inputs],
+        "fishers": [str(p) for p in fishers],
+        "sha256": {str(p): _sha256(p) for p in [*args.inputs, *fishers]},
         "grid": [list(c.as_tuple()) for c in grid.configs],
         "rank": args.rank,
         "seed": args.seed,
@@ -228,7 +252,7 @@ def cmd_sweep(args) -> int:
     matrices = [read_tensor(p) for p in args.inputs]
     fishers = _load_fishers(args.fisher, len(matrices))
     out = Path(args.output)
-    params = _sweep_params(args, args.inputs, grid)
+    params = _sweep_params(args, grid)
 
     errors_init = None
     manifest = _manifest_path(out)
@@ -261,19 +285,15 @@ def cmd_allocate(args) -> int:
     start = time.perf_counter()
     with open(args.table) as fh:
         table = SweepTable.from_json(json.load(fh))
-    budget_bits = Fraction(args.budget_bits_per_param) * sum(table.sizes)
+    budget_bits = args.budget_bits_per_param * sum(table.sizes)
     solver = brute_force_mckp if args.brute_force else solve_mckp
-    if args.brute_force:
-        solution = solver(table, budget_bits)
-    else:
-        solution = solver(table, budget_bits, prune=not args.no_prune)
+    solution = solver(table, budget_bits)
     out = Path(args.output)
     _atomic_write_json(out, solution.to_json())
     _write_manifest(out, "allocate", {
         "table": str(args.table),
-        "budget_bits_per_param": args.budget_bits_per_param,
+        "budget_bits_per_param": str(args.budget_bits_per_param),
         "brute_force": bool(args.brute_force),
-        "prune": not args.no_prune,
     }, [args.table], [out], time.perf_counter() - start)
     used = float(solution.total_storage_bits / sum(table.sizes))
     print(f"total_error={solution.total_error:.6e} bits_per_param={used:.6f} "
@@ -288,6 +308,8 @@ def cmd_init(args) -> int:
     fishers = _load_fishers(args.fisher, len(matrices))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    params = _sweep_params(args, grid)
+    params["budget_bits_per_param"] = str(args.budget_bits_per_param)
 
     results, solution, table = lq_lora_init(
         matrices, fishers, grid, args.rank,
@@ -301,14 +323,7 @@ def cmd_init(args) -> int:
     _atomic_write_json(outputs[1], solution.to_json())
     per_matrix = []
     for i, (res, ci) in enumerate(zip(results, solution.assignment)):
-        stem = out_dir / f"matrix_{i:03d}"
-        q_path = stem.with_name(stem.name + ".lqq")
-        l1_path = stem.with_name(stem.name + ".l1.lqt")
-        l2_path = stem.with_name(stem.name + ".l2.lqt")
-        write_quantized(q_path, res.q)
-        write_tensor(l1_path, res.factors.l1)
-        write_tensor(l2_path, res.factors.l2)
-        outputs += [q_path, l1_path, l2_path]
+        outputs += _write_split(out_dir / f"matrix_{i:03d}", res)
         cfg = table.configs[ci]
         per_matrix.append({
             "input": str(args.inputs[i]),
@@ -318,16 +333,8 @@ def cmd_init(args) -> int:
             "converged_reason": res.converged_reason,
         })
         print(f"matrix {i}: config={cfg.label()} error={res.error:.6e}")
-    _write_manifest(out_dir, "init", {
-        "inputs": [str(p) for p in args.inputs],
-        "fishers": [str(p) for p in (args.fisher or [])],
-        "grid": [list(c.as_tuple()) for c in grid.configs],
-        "rank": args.rank,
-        "seed": args.seed,
-        "method": args.method,
-        "max_iters": args.max_iters,
-        "budget_bits_per_param": args.budget_bits_per_param,
-    }, args.inputs, outputs, time.perf_counter() - start, {
+    _write_manifest(out_dir, "init", params, args.inputs, outputs,
+                    time.perf_counter() - start, {
         "matrices": per_matrix,
         "total_error": solution.total_error,
         "bits_per_param": float(solution.total_storage_bits / sum(table.sizes)),
@@ -348,14 +355,8 @@ def cmd_report(args) -> int:
     if (args.preset is None) == (args.shapes is None):
         raise UsageError("exactly one of --preset and --shapes is required")
     shapes = model_preset(args.preset).shapes() if args.preset else _parse_shapes(args.shapes)
-    if "," in args.quant_bits:
-        quant_bits = [Fraction(b) for b in args.quant_bits.split(",")]
-    else:
-        quant_bits = Fraction(args.quant_bits)
-    if args.lora_bits is not None:
-        lora_bits = Fraction(args.lora_bits)
-    else:
-        lora_bits = LORA_FORMATS[args.lora_format]
+    quant_bits = args.quant_bits if len(args.quant_bits) > 1 else args.quant_bits[0]
+    lora_bits = args.lora_bits if args.lora_bits is not None else LORA_FORMATS[args.lora_format]
     report = storage_report(shapes, quant_bits, args.lora_rank, lora_bits)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0
@@ -468,15 +469,14 @@ def build_parser() -> _Parser:
     al = sub.add_parser("allocate", help="optimal configs under a bit budget")
     al.add_argument("table")
     al.add_argument("-o", "--output", required=True)
-    al.add_argument("--budget-bits-per-param", type=float, required=True)
+    al.add_argument("--budget-bits-per-param", type=_fraction, required=True)
     al.add_argument("--brute-force", action="store_true")
-    al.add_argument("--no-prune", action="store_true")
     al.set_defaults(func=cmd_allocate)
 
     it = sub.add_parser("init", help="sweep, allocate, and write decompositions")
     it.add_argument("inputs", nargs="+")
     it.add_argument("--out-dir", required=True)
-    it.add_argument("--budget-bits-per-param", type=float, required=True)
+    it.add_argument("--budget-bits-per-param", type=_fraction, required=True)
     it.add_argument("--fisher", action="append", default=None)
     it.add_argument("--grid", default=None)
     it.add_argument("--rank", type=int, default=1)
@@ -489,11 +489,11 @@ def build_parser() -> _Parser:
     rp = sub.add_parser("report", help="effective bits per parameter accounting")
     rp.add_argument("--preset", choices=PRESET_NAMES, default=None)
     rp.add_argument("--shapes", default=None, help="comma list like 4096x4096,4096x11008")
-    rp.add_argument("--quant-bits", required=True,
+    rp.add_argument("--quant-bits", type=_fraction_list, required=True,
                     help="bits per quantized param, one value or comma list")
     rp.add_argument("--lora-rank", type=int, default=0)
     rp.add_argument("--lora-format", choices=sorted(LORA_FORMATS), default="nf8")
-    rp.add_argument("--lora-bits", type=float, default=None,
+    rp.add_argument("--lora-bits", type=_fraction, default=None,
                     help="override bits per adapter param")
     rp.set_defaults(func=cmd_report)
 

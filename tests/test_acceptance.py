@@ -194,12 +194,9 @@ def test_criterion_06_error_nonincreasing_in_rank():
 def random_table(rng, n, c):
     configs = list(default_grid().configs[:c])
     sizes = [int(s) for s in rng.integers(1, 64, n)]
-    storage = [[sz * storage_bits_per_param(cfg) for cfg in configs]
-               for sz in sizes]
     return SweepTable(sizes=sizes, configs=configs,
                       errors=rng.uniform(0, 10, (n, c)),
-                      storage_bits=storage, fisher_weighted=False,
-                      rank=1, seed=0)
+                      fisher_weighted=False, rank=1, seed=0)
 
 
 def test_criterion_07_allocator_matches_exhaustive_search():

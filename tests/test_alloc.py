@@ -34,9 +34,8 @@ def make_table(errors, sizes=None, configs=None):
         sizes = [1] * n
     if configs is None:
         configs = list(default_grid().configs[:c])
-    storage = [[sz * storage_bits_per_param(cfg) for cfg in configs] for sz in sizes]
     return SweepTable(sizes=list(sizes), configs=configs, errors=errors,
-                      storage_bits=storage, fisher_weighted=False, rank=1, seed=0)
+                      fisher_weighted=False, rank=1, seed=0)
 
 
 class TestConfigGrid:
@@ -65,17 +64,15 @@ class TestConfigGrid:
 
 class TestSolveMckp:
     def test_worked_example(self):
-        table = SweepTable(
-            sizes=[1, 1],
-            configs=list(default_grid().configs[:2]),
-            errors=np.array([[4.0, 1.0], [3.0, 1.0]]),
-            storage_bits=[[Fraction(2), Fraction(4)], [Fraction(2), Fraction(4)]],
-            fisher_weighted=False, rank=1, seed=0,
-        )
-        sol = solve_mckp(table, 6)
+        cheap = QuantConfig(2, 2, "fp16", 16, 16)
+        costly = QuantConfig(4, 8, "fp32", 64, 256)
+        table = make_table([[4.0, 1.0], [3.0, 1.0]], configs=[cheap, costly])
+        # room for exactly one upgrade: it goes where it removes more error
+        budget = storage_bits_per_param(cheap) + storage_bits_per_param(costly)
+        sol = solve_mckp(table, budget)
         assert sol.assignment == [1, 0]
         assert sol.total_error == 4.0
-        assert sol.total_storage_bits == 6
+        assert sol.total_storage_bits == budget
         assert sol.optimal
 
     def test_loose_budget_takes_best_errors(self):
@@ -113,17 +110,6 @@ class TestSolveMckp:
         budgets = np.linspace(lo, hi, 12)
         errors = [solve_mckp(table, float(b)).total_error for b in budgets]
         assert errors == sorted(errors, reverse=True)
-
-    def test_prune_flag_changes_nothing(self):
-        rng = np.random.default_rng(1)
-        for trial in range(10):
-            table = make_table(rng.uniform(0, 5, (3, 6)), sizes=[3, 5, 9])
-            lo = sum(min(row) for row in table.storage_bits)
-            hi = sum(max(row) for row in table.storage_bits)
-            budget = lo + (hi - lo) * Fraction(trial, 10)
-            a = solve_mckp(table, budget, prune=True)
-            b = solve_mckp(table, budget, prune=False)
-            assert a.total_error == b.total_error
 
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(2)
@@ -202,7 +188,9 @@ class TestBruteForce:
 class TestJsonRoundTrips:
     def test_sweep_table(self):
         table = make_table([[1.5, np.nan], [0.25, 3.0]], sizes=[6, 8])
-        back = SweepTable.from_json(table.to_json())
+        payload = table.to_json()
+        assert "storage_bits" not in payload
+        back = SweepTable.from_json(payload)
         assert back.sizes == table.sizes
         assert back.configs == table.configs
         assert np.array_equal(np.isnan(back.errors), np.isnan(table.errors))
@@ -215,12 +203,33 @@ class TestJsonRoundTrips:
         sol = AllocSolution(assignment=[2, 0, 1], total_error=1.25,
                             total_storage_bits=Fraction(35, 16),
                             budget_bits=Fraction(3), optimal=True)
-        back = AllocSolution.from_json(sol.to_json())
+        payload = sol.to_json()
+        assert payload["total_storage_bits"] == "35/16"
+        assert payload["budget_bits"] == "3"
+        back = AllocSolution.from_json(payload)
         assert back.assignment == sol.assignment
         assert back.total_error == sol.total_error
         assert back.total_storage_bits == sol.total_storage_bits
         assert back.budget_bits == sol.budget_bits
         assert back.optimal
+
+    def test_reloaded_table_keeps_budget_exact(self):
+        # B0=48, B1=3 give costs (4075/6, 5875/6) that no float holds; a
+        # budget just under the exact mixed cost 4975/3 must stay infeasible
+        # for the mixed assignment after a round trip, even when the file
+        # still carries float costs from an older writer.
+        configs = [QuantConfig(2, 2, "fp32", 48, 3), QuantConfig(3, 2, "fp32", 48, 3)]
+        table = make_table([[2.0, 1.0], [2.0, 1.5]], sizes=[300, 300], configs=configs)
+        mixed = table.storage_bits[0][1] + table.storage_bits[1][0]
+        assert mixed == Fraction(4975, 3)
+        budget = mixed - Fraction(1, 10 ** 15)
+        payload = table.to_json()
+        payload["storage_bits"] = [[float(s) for s in row] for row in table.storage_bits]
+        back = SweepTable.from_json(payload)
+        want = solve_mckp(table, budget)
+        got = solve_mckp(back, budget)
+        assert got.assignment == want.assignment == [0, 0]
+        assert got.total_storage_bits == want.total_storage_bits <= budget
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ import json
 import re
 import shutil
 import subprocess
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ class TestExitCodes:
         code = cli.main(["allocate", str(table), "-o", str(tmp_path / "sol.json"),
                          "--budget-bits-per-param", "1.0"])
         assert code == 3
+
+    def test_bad_budget_string(self, tmp_path, capsys):
+        m = make_matrix(tmp_path, "m.lqt")
+        grid = write_grid(tmp_path, SMALL_GRID)
+        table = tmp_path / "table.json"
+        assert cli.main(["sweep", str(m), "-o", str(table), "--grid", str(grid)]) == 0
+        for text in ("three", "1/0", "nan", "inf"):
+            code = cli.main(["allocate", str(table), "-o", str(tmp_path / "sol.json"),
+                             "--budget-bits-per-param", text])
+            assert code == 1
+        assert cli.main(["report", "--shapes", "4x4", "--quant-bits", "4",
+                         "--lora-bits", "x"]) == 1
+        assert cli.main(["report", "--shapes", "4x4", "--quant-bits", "1/0"]) == 1
 
     def test_bad_config_string(self, tmp_path, capsys):
         m = make_matrix(tmp_path, "m.lqt")
@@ -228,6 +242,20 @@ class TestSweep:
         assert cli.main(argv + ["--fresh"]) == 0
         assert len(calls) == 2
 
+    def test_rewritten_input_is_not_resumed(self, tmp_path, capsys):
+        m = make_matrix(tmp_path, "m.lqt", seed=0)
+        grid = write_grid(tmp_path, SMALL_GRID)
+        out = tmp_path / "table.json"
+        argv = self.sweep_argv(m, out, grid)
+        assert cli.main(argv) == 0
+        make_matrix(tmp_path, "m.lqt", seed=1)  # same path, new contents
+        code, text = run(capsys, *argv)
+        assert code == 0
+        assert "resuming" not in text
+        fresh = tmp_path / "fresh.json"
+        assert cli.main(self.sweep_argv(m, fresh, grid) + ["--fresh"]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
     def test_changed_params_ignore_partial(self, tmp_path, capsys):
         m = make_matrix(tmp_path, "m.lqt")
         grid = write_grid(tmp_path, SMALL_GRID)
@@ -286,20 +314,34 @@ class TestAllocate:
         sol = json.loads(sol_path.read_text())
         assert len(sol["assignment"]) == 1
 
-    def test_brute_force_and_no_prune_agree(self, tmp_path, capsys):
+    def test_budget_is_exact_after_reload(self, tmp_path, capsys):
+        m = make_matrix(tmp_path, "m.lqt")
+        grid = write_grid(tmp_path, SMALL_GRID)
+        table = tmp_path / "table.json"
+        assert cli.main(["sweep", str(m), "-o", str(table), "--grid", str(grid)]) == 0
+        sol_path = tmp_path / "sol.json"
+        assert cli.main(["allocate", str(table), "-o", str(sol_path),
+                         "--budget-bits-per-param", "3.1"]) == 0
+        params = sum(alloc.SweepTable.from_json(json.loads(table.read_text())).sizes)
+        sol = alloc.AllocSolution.from_json(json.loads(sol_path.read_text()))
+        assert sol.budget_bits == Fraction("3.1") * params
+        assert sol.total_storage_bits <= sol.budget_bits
+        manifest = json.loads((tmp_path / "sol.manifest.json").read_text())
+        assert Fraction(manifest["params"]["budget_bits_per_param"]) == Fraction("3.1")
+
+    def test_brute_force_agrees(self, tmp_path, capsys):
         mats = [make_matrix(tmp_path, f"{i}.lqt", seed=i) for i in range(3)]
         grid = write_grid(tmp_path, SMALL_GRID)
         table = tmp_path / "table.json"
         assert cli.main(["sweep", *map(str, mats), "-o", str(table),
                          "--grid", str(grid)]) == 0
         errors = {}
-        for name, extra in (("plain", []), ("brute", ["--brute-force"]),
-                            ("noprune", ["--no-prune"])):
+        for name, extra in (("plain", []), ("brute", ["--brute-force"])):
             sol_path = tmp_path / f"{name}.json"
             assert cli.main(["allocate", str(table), "-o", str(sol_path),
                              "--budget-bits-per-param", "2.5", *extra]) == 0
             errors[name] = json.loads(sol_path.read_text())["total_error"]
-        assert errors["plain"] == errors["brute"] == errors["noprune"]
+        assert errors["plain"] == errors["brute"]
 
 
 class TestInit:
