@@ -611,8 +611,8 @@ class StorageReport:
         return {
             "total_params": self.total_params,
             "lora_params": self.lora_params,
-            "quant_bits": float(self.quant_bits),
-            "lora_bits": float(self.lora_bits),
+            "quant_bits": str(self.quant_bits),
+            "lora_bits": str(self.lora_bits),
             "quant_bytes": self.quant_bytes,
             "lora_bytes": self.lora_bytes,
             "effective_bits_per_param": self.effective_bits_per_param,

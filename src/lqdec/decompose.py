@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorize import LowRankFactors, factorize, weighted_error
-from .quant import QuantConfig, QuantizedMatrix, dequantize, quantize_nf
+from .quant import QuantConfig, QuantizedMatrix, dequantize, quantize_nf, quantize_values
 
 REASON_INCREASED = "error-increased"
 REASON_MAX_ITERS = "max-iters"
@@ -68,25 +68,29 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
         raise ValueError("matrix entries must be finite")
     w64 = w32.astype(np.float64)
 
-    reference = weighted_error(w32, None, None, f)
-    q = quantize_nf(w32, cfg) if init == "quantize" else None
+    reference = weighted_error(w64, None, None, f)
+    # Only the dequantized values drive the loop; the packed container is
+    # built once, for the best iterate, after the loop.
+    deq = dequantize(quantize_nf(w32, cfg)) if init == "quantize" else None
 
     trace: list[float] = []
     best = None
     prev = np.inf
     reason = REASON_MAX_ITERS
     for t in range(1, max_iters + 1):
-        resid = w64 if q is None else w64 - dequantize(q).astype(np.float64)
-        fac = factorize(resid, f, rank, method=method, seed=derive_seed(seed, t))
+        # the residual is a temporary, freed before the next quantization
+        fac = factorize(w64 if deq is None else w64 - deq, f, rank, method=method,
+                        seed=derive_seed(seed, t))
         fac = LowRankFactors(
             l1=np.ascontiguousarray(fac.l1, dtype=np.float32),
             l2=np.ascontiguousarray(fac.l2, dtype=np.float32),
         )
-        q = quantize_nf((w64 - fac.product()).astype(np.float32), cfg)
-        eps = weighted_error(w32, dequantize(q), fac, f)
+        target = (w64 - fac.product()).astype(np.float32)
+        deq = quantize_values(target, cfg)
+        eps = weighted_error(w64, deq, fac, f)
         trace.append(eps)
         if best is None or eps < best[0]:
-            best = (eps, q, fac)
+            best = (eps, target, fac)
         if eps <= ZERO_ERROR_RTOL * reference:
             reason = REASON_ZERO
             break
@@ -97,7 +101,7 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
 
     chosen = int(np.argmin(trace))
     return LQResult(
-        q=best[1],
+        q=quantize_nf(best[1], cfg),
         factors=best[2],
         error_trace=trace,
         chosen_iteration=chosen,

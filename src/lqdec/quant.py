@@ -198,8 +198,13 @@ def nearest_level_codes(normalized, codebook) -> np.ndarray:
     return np.searchsorted(codebook.midpoints, values, side="left").astype(np.uint8)
 
 
-def quantize_nf(m, cfg: QuantConfig) -> QuantizedMatrix:
-    """Quantize a float32 matrix to NormalFloat codes with coded scales."""
+def _encode(m, cfg: QuantConfig):
+    """Unpacked codes of a float32 matrix under one config.
+
+    Returns (shape, entry codes, scale codes, group scales, per-block
+    scales), the codes as uint8 arrays and the per-block scales in
+    float64, as `_block_scales` reconstructs them.
+    """
     a = np.ascontiguousarray(m, dtype=np.float32)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("expected a nonempty 2-d matrix")
@@ -224,17 +229,36 @@ def quantize_nf(m, cfg: QuantConfig) -> QuantizedMatrix:
     shat = _block_scales(s_codes, scales, cfg)
     dead = np.repeat(shat == 0.0, _segment_lengths(n, cfg.B0))
     if dead.any():
-        codes = codes.copy()
         codes[dead] = cb.zero_index
+    return a.shape, codes, s_codes, scales, shat
 
+
+def _decode(shape, codes: np.ndarray, shat: np.ndarray, cfg: QuantConfig) -> np.ndarray:
+    """float32 matrix from unpacked entry codes and per-block scales."""
+    per_entry = np.repeat(shat, _segment_lengths(codes.size, cfg.B0))
+    cb = build_codebook(cfg.b0)
+    return (cb.levels[codes] * per_entry).astype(np.float32).reshape(shape)
+
+
+def quantize_nf(m, cfg: QuantConfig) -> QuantizedMatrix:
+    """Quantize a float32 matrix to NormalFloat codes with coded scales."""
+    (rows, cols), codes, s_codes, scales, _ = _encode(m, cfg)
     return QuantizedMatrix(
-        rows=a.shape[0],
-        cols=a.shape[1],
+        rows=rows,
+        cols=cols,
         config=cfg,
         codes=pack_bits(codes, cfg.b0),
         s_codes=pack_bits(s_codes, cfg.b1),
         group_scales=scales,
     )
+
+
+def quantize_values(m, cfg: QuantConfig) -> np.ndarray:
+    """Exactly ``dequantize(quantize_nf(m, cfg))``, without packing codes."""
+    # _encode returns before decoding, so its float64 temporaries are
+    # freed before the decode allocates its own.
+    shape, codes, _, _, shat = _encode(m, cfg)
+    return _decode(shape, codes, shat, cfg)
 
 
 def _block_scales(s_codes: np.ndarray, group_scales: np.ndarray, cfg: QuantConfig) -> np.ndarray:
@@ -252,11 +276,7 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     n, n_blocks, _ = q.counts()
     codes = unpack_bits(q.codes, cfg.b0, n)
     s_codes = unpack_bits(q.s_codes, cfg.b1, n_blocks)
-    shat = _block_scales(s_codes, q.group_scales, cfg)
-    per_entry = np.repeat(shat, _segment_lengths(n, cfg.B0))
-    cb = build_codebook(cfg.b0)
-    out = (cb.levels[codes] * per_entry).astype(np.float32)
-    return out.reshape(q.rows, q.cols)
+    return _decode((q.rows, q.cols), codes, _block_scales(s_codes, q.group_scales, cfg), cfg)
 
 
 def matmul_dequant(x, q: QuantizedMatrix, factors=None) -> np.ndarray:

@@ -387,4 +387,5 @@ class TestStorageReport:
         assert payload["total_params"] == 64
         assert payload["lora_params"] == 16
         assert payload["quant_bytes"] == 32.0
-        assert payload["effective_bits_per_param"] == payload["quant_bits"] / 64 + payload["lora_bits"] / 64
+        total = Fraction(payload["quant_bits"]) + Fraction(payload["lora_bits"])
+        assert payload["effective_bits_per_param"] == float(total / 64)

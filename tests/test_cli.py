@@ -388,7 +388,15 @@ class TestReport:
         payload = json.loads(out)
         assert payload["total_params"] == 256
         assert payload["lora_params"] == 64
-        assert payload["lora_bits"] == 1024.0
+        assert Fraction(payload["lora_bits"]) == 1024
+
+    def test_bit_totals_are_exact(self, capsys):
+        code, out = run(capsys, "report", "--shapes", "4x4", "--quant-bits", "1/3",
+                        "--lora-rank", "1", "--lora-bits", "1/7")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["quant_bits"] == "16/3"
+        assert payload["lora_bits"] == "8/7"
 
     def test_requires_exactly_one_source(self, capsys):
         assert cli.main(["report", "--quant-bits", "4"]) == 1

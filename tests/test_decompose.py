@@ -7,10 +7,11 @@ from lqdec.decompose import (
     REASON_INCREASED,
     REASON_MAX_ITERS,
     REASON_ZERO,
+    ZERO_ERROR_RTOL,
     derive_seed,
     lq_decompose,
 )
-from lqdec.factorize import weighted_error
+from lqdec.factorize import LowRankFactors, factorize, weighted_error
 from lqdec.quant import QuantConfig, dequantize, quantize_nf
 from lqdec.tensor_io import gen_fisher, gen_matrix
 
@@ -27,6 +28,64 @@ class TestDeriveSeed:
 
     def test_part_order_matters(self):
         assert derive_seed(0, 1, 2) != derive_seed(0, 2, 1)
+
+
+def reference_decompose(w, f, cfg, rank, max_iters, seed, method, init):
+    """The alternating loop over packed containers, kept as an oracle.
+
+    Every iteration packs its codes in quantize_nf and unpacks them twice,
+    once for the error and once for the next residual.  Returns
+    (trace, chosen iteration, stop reason, container, factors).
+    """
+    w32 = np.ascontiguousarray(w, dtype=np.float32)
+    w64 = w32.astype(np.float64)
+    reference = weighted_error(w32, None, None, f)
+    q = quantize_nf(w32, cfg) if init == "quantize" else None
+    trace, best, prev, reason = [], None, np.inf, REASON_MAX_ITERS
+    for t in range(1, max_iters + 1):
+        resid = w64 if q is None else w64 - dequantize(q).astype(np.float64)
+        fac = factorize(resid, f, rank, method=method, seed=derive_seed(seed, t))
+        fac = LowRankFactors(
+            l1=np.ascontiguousarray(fac.l1, dtype=np.float32),
+            l2=np.ascontiguousarray(fac.l2, dtype=np.float32),
+        )
+        q = quantize_nf((w64 - fac.product()).astype(np.float32), cfg)
+        eps = weighted_error(w32, dequantize(q), fac, f)
+        trace.append(eps)
+        if best is None or eps < best[0]:
+            best = (eps, q, fac)
+        if eps <= ZERO_ERROR_RTOL * reference:
+            reason = REASON_ZERO
+            break
+        if eps > prev:
+            reason = REASON_INCREASED
+            break
+        prev = eps
+    return trace, int(np.argmin(trace)), reason, best[1], best[2]
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("b2", ["fp32", "bf16", "fp16"])
+    @pytest.mark.parametrize("B0", [64, 16, 37, 7])
+    @pytest.mark.parametrize("method", ["randomized", "exact"])
+    @pytest.mark.parametrize("init", ["zero", "quantize"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_identical(self, weighted, init, method, B0, b2):
+        w = gen_matrix("gaussian", 48, 40, seed=B0)
+        w[[3, 4, 20]] = 0.0  # whole zero blocks at every B0 above
+        f = gen_fisher("separable", 48, 40, seed=B0) if weighted else None
+        cfg = QuantConfig(3, 4, b2, B0, 8)
+        kwargs = dict(rank=4, max_iters=12, seed=5, method=method, init=init)
+        res = lq_decompose(w, f, cfg, **kwargs)
+        trace, chosen, reason, q, fac = reference_decompose(w, f, cfg, **kwargs)
+        assert res.error_trace == trace
+        assert res.chosen_iteration == chosen
+        assert res.converged_reason == reason
+        assert (res.q.rows, res.q.cols, res.q.config) == (q.rows, q.cols, q.config)
+        assert (res.q.codes, res.q.s_codes) == (q.codes, q.s_codes)
+        assert res.q.group_scales.tobytes() == q.group_scales.tobytes()
+        assert res.factors.l1.tobytes() == fac.l1.tobytes()
+        assert res.factors.l2.tobytes() == fac.l2.tobytes()
 
 
 class TestLqDecompose:

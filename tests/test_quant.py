@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqdec.codebook import build_codebook
+from lqdec.codebook import SUPPORTED_BITS, build_codebook
 from lqdec.errors import FormatError
 from lqdec.quant import (
     HEADER_BYTES,
@@ -19,6 +19,7 @@ from lqdec.quant import (
     exact_container_bytes,
     matmul_dequant,
     quantize_nf,
+    quantize_values,
     read_quantized,
     rtn_quantize_unsigned,
     storage_bits_per_param,
@@ -232,6 +233,31 @@ class TestQuantizeNF:
         cb = build_codebook(4)
         gap = np.max(np.diff(cb.levels))
         assert np.max(np.abs(out - w)) <= gap / 2 + 1e-7
+
+    @given(
+        rows=st.integers(min_value=1, max_value=12),
+        cols=st.integers(min_value=1, max_value=12),
+        b0=st.sampled_from(SUPPORTED_BITS),
+        b1=st.sampled_from(SUPPORTED_BITS),
+        b2=st.sampled_from(["fp32", "fp16", "bf16"]),
+        B0=st.integers(min_value=1, max_value=160),
+        B1=st.integers(min_value=1, max_value=40),
+        zero_rows=st.lists(st.integers(min_value=0, max_value=11), max_size=6),
+        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_quantize_values_matches_round_trip(self, rows, cols, b0, b1, b2, B0, B1,
+                                                zero_rows, seed):
+        # block sizes range past the entry count (at most 144) and over
+        # non-powers of two; zeroed rows leave all-zero (dead) blocks
+        rng = np.random.default_rng(seed)
+        w = (rng.standard_normal((rows, cols)) * rng.uniform(1e-3, 1e3)).astype(np.float32)
+        w[[r for r in zero_rows if r < rows]] = 0.0
+        cfg = QuantConfig(b0, b1, b2, B0, B1)
+        fused = quantize_values(w, cfg)
+        reference = dequantize(quantize_nf(w, cfg))
+        assert fused.dtype == reference.dtype and fused.shape == reference.shape
+        assert fused.tobytes() == reference.tobytes()
 
 
 class TestContainer:
