@@ -633,6 +633,8 @@ def storage_report(shapes, quant_bits_per_param, lora_rank: int = 0,
         raise ValueError("at least one shape is required")
     if lora_rank < 0:
         raise ValueError("lora_rank must be nonnegative")
+    if any(int(r) < 1 or int(c) < 1 for r, c in shapes):
+        raise ValueError("matrix dimensions must be positive")
     sizes = [int(r) * int(c) for r, c in shapes]
     if isinstance(quant_bits_per_param, (list, tuple)):
         if len(quant_bits_per_param) != len(shapes):

@@ -121,9 +121,14 @@ def _load_grid(path) -> ConfigGrid:
         return default_grid()
     with open(path) as fh:
         payload = json.load(fh)
-    rows = payload["configs"] if isinstance(payload, dict) else payload
-    return ConfigGrid(configs=tuple(QuantConfig(b0, b1, b2, bs0, bs1)
-                                    for b0, b1, b2, bs0, bs1 in rows))
+    rows = payload.get("configs") if isinstance(payload, dict) else payload
+    if not isinstance(rows, list):
+        raise UsageError(f"{path}: expected a list of configs, or an object "
+                         "whose 'configs' key holds one")
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 5:
+            raise UsageError(f"{path}: a config is a list [b0, b1, b2, B0, B1], got {row!r}")
+    return ConfigGrid(configs=tuple(QuantConfig(*row) for row in rows))
 
 
 def _sha256(path) -> str:
@@ -346,7 +351,10 @@ def cmd_init(args) -> int:
 def _parse_shapes(text):
     shapes = []
     for part in text.split(","):
-        rows, _, cols = part.strip().partition("x")
+        rows, sep, cols = part.partition("x")
+        rows, cols = rows.strip(), cols.strip()
+        if not (sep and rows.isdecimal() and cols.isdecimal()):
+            raise UsageError(f"--shapes takes ROWSxCOLS pairs, got {part!r}")
         shapes.append((int(rows), int(cols)))
     return shapes
 

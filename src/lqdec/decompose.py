@@ -85,9 +85,11 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
             l1=np.ascontiguousarray(fac.l1, dtype=np.float32),
             l2=np.ascontiguousarray(fac.l2, dtype=np.float32),
         )
-        target = (w64 - fac.product()).astype(np.float32)
+        prod = fac.product()
+        target = (w64 - prod).astype(np.float32)
         deq = quantize_values(target, cfg)
-        eps = weighted_error(w64, deq, fac, f)
+        eps = weighted_error(w64 - deq - prod, None, None, f)
+        del prod  # freed before the next factorization
         trace.append(eps)
         if best is None or eps < best[0]:
             best = (eps, target, fac)

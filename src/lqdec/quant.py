@@ -42,11 +42,15 @@ class QuantConfig:
     B1: int
 
     def __post_init__(self):
+        # exact int: JSON gives floats and booleans as written, and
+        # 3.0 in SUPPORTED_BITS holds
+        if not (type(self.b0) is type(self.b1) is type(self.B0) is type(self.B1) is int):
+            raise ValueError(f"b0, b1, B0 and B1 must be integers, got {self.as_tuple()!r}")
         if self.b0 not in SUPPORTED_BITS:
             raise ValueError(f"b0 must be one of {SUPPORTED_BITS}, got {self.b0}")
         if self.b1 not in SUPPORTED_BITS:
             raise ValueError(f"b1 must be one of {SUPPORTED_BITS}, got {self.b1}")
-        if self.b2 not in FLOAT_FORMATS:
+        if not isinstance(self.b2, str) or self.b2 not in FLOAT_FORMATS:
             raise ValueError(f"b2 must be one of {sorted(FLOAT_FORMATS)}, got {self.b2!r}")
         if self.B0 < 1 or self.B1 < 1:
             raise ValueError("block sizes B0 and B1 must be positive")
@@ -103,9 +107,16 @@ def _segment_starts(n: int, size: int) -> np.ndarray:
     return np.arange(0, n, size, dtype=np.int64)
 
 
-def _segment_lengths(n: int, size: int) -> np.ndarray:
-    starts = _segment_starts(n, size)
-    return np.diff(np.append(starts, n))
+def _per_entry(per_segment: np.ndarray, size: int, n: int) -> np.ndarray:
+    """Each segment's value repeated over its entries; the last segment may be short."""
+    # a segment longer than n is the only one, so n copies of it suffice
+    return np.repeat(per_segment, min(size, n))[:n]
+
+
+def _divide_by_segment(values: np.ndarray, scales: np.ndarray, size: int) -> np.ndarray:
+    """Finite values over their segment's nonnegative scale, 0 where it is zero."""
+    # an infinite divisor gives the zero a skipped division would
+    return values / _per_entry(np.where(scales > 0, scales, np.inf), size, values.size)
 
 
 def _unsigned_codes(values: np.ndarray, bits: int, group_size: int):
@@ -115,9 +126,7 @@ def _unsigned_codes(values: np.ndarray, bits: int, group_size: int):
     gmax = np.maximum.reduceat(values, starts)
     levels = (1 << bits) - 1
     steps = gmax / levels
-    per = np.repeat(steps, _segment_lengths(n, group_size))
-    with np.errstate(invalid="ignore"):
-        x = np.divide(values, per, out=np.zeros_like(values), where=per > 0)
+    x = _divide_by_segment(values, steps, group_size)
     # round half away from zero; inputs are nonnegative
     codes = np.clip(np.floor(x + 0.5), 0, levels).astype(np.uint8)
     return codes, gmax, steps
@@ -192,10 +201,17 @@ def nearest_level_codes(normalized, codebook) -> np.ndarray:
     """Index of the nearest codebook level for each value in [-1, 1].
 
     A value sitting exactly on the midpoint between two levels takes the
-    lower index.
+    lower index.  The code is the count of midpoints strictly below the
+    value, as ``np.searchsorted(midpoints, values, side="left")`` gives
+    it for non-NaN values.
     """
     values = np.asarray(normalized, dtype=np.float64)
-    return np.searchsorted(codebook.midpoints, values, side="left").astype(np.uint8)
+    codes = np.zeros(values.shape, dtype=np.uint8)
+    above = np.empty(values.shape, dtype=bool)
+    for mid in codebook.midpoints:
+        np.greater(values, mid, out=above)
+        codes += above.view(np.uint8)
+    return codes
 
 
 def _encode(m, cfg: QuantConfig):
@@ -211,14 +227,12 @@ def _encode(m, cfg: QuantConfig):
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     cb = build_codebook(cfg.b0)
-    flat = a.ravel().astype(np.float64)
+    flat = a.ravel()
     n = flat.size
 
-    absmax = np.maximum.reduceat(np.abs(flat), _segment_starts(n, cfg.B0))
-    per_entry = np.repeat(absmax, _segment_lengths(n, cfg.B0))
-    with np.errstate(invalid="ignore"):
-        normalized = np.divide(flat, per_entry, out=np.zeros_like(flat), where=per_entry > 0)
-    codes = nearest_level_codes(normalized, cb)
+    # abs and max are exact in float32; the division promotes to float64
+    absmax = np.maximum.reduceat(np.abs(flat), _segment_starts(n, cfg.B0)).astype(np.float64)
+    codes = nearest_level_codes(_divide_by_segment(flat, absmax, cfg.B0), cb)
 
     s_codes, gmax, _ = _unsigned_codes(absmax, cfg.b1, cfg.B1)
     scales = cast_float(gmax, cfg.b2)
@@ -227,17 +241,19 @@ def _encode(m, cfg: QuantConfig):
     # their entry codes; store the zero level there so repeated
     # quantize/dequantize round trips are byte-stable.
     shat = _block_scales(s_codes, scales, cfg)
-    dead = np.repeat(shat == 0.0, _segment_lengths(n, cfg.B0))
+    dead = shat == 0.0
     if dead.any():
-        codes[dead] = cb.zero_index
+        codes[_per_entry(dead, cfg.B0, n)] = cb.zero_index
     return a.shape, codes, s_codes, scales, shat
 
 
 def _decode(shape, codes: np.ndarray, shat: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     """float32 matrix from unpacked entry codes and per-block scales."""
-    per_entry = np.repeat(shat, _segment_lengths(codes.size, cfg.B0))
-    cb = build_codebook(cfg.b0)
-    return (cb.levels[codes] * per_entry).astype(np.float32).reshape(shape)
+    out = np.empty(shape, dtype=np.float32)
+    # the product is taken in float64 and rounded once, into out
+    np.multiply(np.take(build_codebook(cfg.b0).levels, codes),
+                _per_entry(shat, cfg.B0, codes.size), out=out.reshape(-1))
+    return out
 
 
 def quantize_nf(m, cfg: QuantConfig) -> QuantizedMatrix:
@@ -263,8 +279,7 @@ def quantize_values(m, cfg: QuantConfig) -> np.ndarray:
 
 def _block_scales(s_codes: np.ndarray, group_scales: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     """Reconstructed per-block scale vector, in float64."""
-    n_blocks = s_codes.size
-    per_block_v = np.repeat(group_scales.astype(np.float64), _segment_lengths(n_blocks, cfg.B1))
+    per_block_v = _per_entry(group_scales.astype(np.float64), cfg.B1, s_codes.size)
     # multiply before dividing: exact for codes up to 8 bits against
     # float32-representable group scales
     return (s_codes.astype(np.float64) * per_block_v) / ((1 << cfg.b1) - 1)

@@ -373,6 +373,9 @@ class TestStorageReport:
             storage_report([(4, 4)], [1, 2])
         with pytest.raises(ValueError):
             storage_report([(4, 4)], 4, lora_rank=-1)
+        for shapes in ([(0, 4)], [(4, 4), (-2, -2)]):
+            with pytest.raises(ValueError):
+                storage_report(shapes, 4)
 
     def test_solution_bits_per_param(self):
         table = make_table([[1.0, 2.0]])

@@ -92,6 +92,29 @@ class TestExitCodes:
                          "--lora-bits", "x"]) == 1
         assert cli.main(["report", "--shapes", "4x4", "--quant-bits", "1/0"]) == 1
 
+    @pytest.mark.parametrize("payload", [
+        [[3, 8, "fp32", 64.5, 256]],
+        [[3.0, 8, "fp32", 64, 256]],
+        {"grid": SMALL_GRID},
+        {"configs": 5},
+        7,
+        [[2, 2, "fp16", 16]],
+        [[2, 2, "fp16", 16, 16, 1]],
+        ["2,2,fp16,16,16"],
+    ])
+    def test_bad_grid_file(self, tmp_path, capsys, payload):
+        m = make_matrix(tmp_path, "m.lqt")
+        grid = write_grid(tmp_path, payload)
+        table = tmp_path / "table.json"
+        assert cli.main(["sweep", str(m), "-o", str(table), "--grid", str(grid)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not table.exists()
+
+    @pytest.mark.parametrize("shapes", ["0x4", "4x0", "4x", "x4", "4", "-4x-4", "4x4,", "4x4x4"])
+    def test_bad_shapes(self, capsys, shapes):
+        assert cli.main(["report", "--shapes", shapes, "--quant-bits", "4"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     def test_bad_config_string(self, tmp_path, capsys):
         m = make_matrix(tmp_path, "m.lqt")
         code = cli.main(["quantize", str(m), str(tmp_path / "q.lqq"),
@@ -397,6 +420,11 @@ class TestReport:
         payload = json.loads(out)
         assert payload["quant_bits"] == "16/3"
         assert payload["lora_bits"] == "8/7"
+
+    def test_shapes_allow_spaces(self, capsys):
+        code, out = run(capsys, "report", "--shapes", "4 x 4, 2x8", "--quant-bits", "4")
+        assert code == 0
+        assert json.loads(out)["total_params"] == 32
 
     def test_requires_exactly_one_source(self, capsys):
         assert cli.main(["report", "--quant-bits", "4"]) == 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lqdec.codebook import SUPPORTED_BITS, build_codebook
 from lqdec.errors import FormatError
+from lqdec.packing import pack_bits
 from lqdec.quant import (
     HEADER_BYTES,
     QuantConfig,
@@ -18,6 +19,7 @@ from lqdec.quant import (
     dequantize,
     exact_container_bytes,
     matmul_dequant,
+    nearest_level_codes,
     quantize_nf,
     quantize_values,
     read_quantized,
@@ -45,6 +47,16 @@ class TestQuantConfig:
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             QuantConfig.parse(text)
+
+    @pytest.mark.parametrize("fields", [
+        (3, 8, "fp32", 64.5, 256), (3.0, 8, "fp32", 64, 256), (3, 8.0, "fp32", 64, 256),
+        (3, 8, "fp32", 64, 256.0), (3, 8, "fp32", True, 256), (3, 8, "fp32", "64", 256),
+        (3, 8, ["fp32"], 64, 256),
+    ])
+    def test_rejects_non_integer_fields(self, fields):
+        # JSON grids give floats, booleans and strings as they are written
+        with pytest.raises(ValueError):
+            QuantConfig(*fields)
 
     @pytest.mark.parametrize("cfg,expected", [
         ((4, 8, "fp32", 64, 256), Fraction(2113, 512)),
@@ -260,6 +272,122 @@ class TestQuantizeNF:
         assert fused.tobytes() == reference.tobytes()
 
 
+def _spread(per_segment, size, count):
+    """Each segment's value repeated over its entries, by segment lengths."""
+    starts = np.arange(0, count, size, dtype=np.int64)
+    return np.repeat(per_segment, np.diff(np.append(starts, count)))
+
+
+def reference_unsigned(values, bits, group_size):
+    """Unsigned round-to-nearest as first written: (codes, group maxima, steps)."""
+    n = values.size
+    gmax = np.maximum.reduceat(values, np.arange(0, n, group_size, dtype=np.int64))
+    levels = (1 << bits) - 1
+    steps = gmax / levels
+    per = _spread(steps, group_size, n)
+    x = np.divide(values, per, out=np.zeros_like(values), where=per > 0)
+    return np.clip(np.floor(x + 0.5), 0, levels).astype(np.uint8), gmax, steps
+
+
+def reference_encode(m, cfg):
+    """Entry codes, scale codes, group scales and values, as first encoded.
+
+    A binary search over the midpoints finds the codes, per-block values
+    are spread by segment lengths, and divisions skip zero divisors,
+    leaving zeros.
+    """
+    a = np.ascontiguousarray(m, dtype=np.float32)
+    cb = build_codebook(cfg.b0)
+    flat = a.ravel().astype(np.float64)
+    n = flat.size
+    absmax = np.maximum.reduceat(np.abs(flat), np.arange(0, n, cfg.B0, dtype=np.int64))
+    per_entry = _spread(absmax, cfg.B0, n)
+    normalized = np.divide(flat, per_entry, out=np.zeros_like(flat), where=per_entry > 0)
+    codes = np.searchsorted(cb.midpoints, normalized, side="left").astype(np.uint8)
+    s_codes, gmax, _ = reference_unsigned(absmax, cfg.b1, cfg.B1)
+    scales = cast_float(gmax, cfg.b2)
+    per_block_v = _spread(scales.astype(np.float64), cfg.B1, s_codes.size)
+    shat = (s_codes.astype(np.float64) * per_block_v) / ((1 << cfg.b1) - 1)
+    codes[_spread(shat == 0.0, cfg.B0, n)] = cb.zero_index
+    values = (cb.levels[codes] * _spread(shat, cfg.B0, n)).astype(np.float32).reshape(a.shape)
+    return codes, s_codes, scales, values
+
+
+def _near_midpoints(cb):
+    """±0, ±1, the levels, every midpoint and its float64 neighbours."""
+    mids = cb.midpoints
+    return np.concatenate([[0.0, -0.0, 1.0, -1.0], cb.levels, mids,
+                           np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
+
+
+class TestMatchesReferenceEncoder:
+    @given(
+        rows=st.integers(min_value=1, max_value=12),
+        cols=st.integers(min_value=1, max_value=12),
+        b0=st.sampled_from(SUPPORTED_BITS),
+        b1=st.sampled_from(SUPPORTED_BITS),
+        b2=st.sampled_from(["fp32", "fp16", "bf16"]),
+        B0=st.integers(min_value=1, max_value=160),
+        B1=st.integers(min_value=1, max_value=40),
+        zero_rows=st.lists(st.integers(min_value=0, max_value=11), max_size=6),
+        on_midpoints=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_encoder_matches_reference(self, rows, cols, b0, b1, b2, B0, B1, zero_rows,
+                                       on_midpoints, seed):
+        rng = np.random.default_rng(seed)
+        scale = np.float32(rng.uniform(1e-3, 1e3))
+        if on_midpoints:
+            # entries are float32 roundings of the values near midpoints,
+            # and each block starts with its maximum, a power of two, so the
+            # normalized entries are exactly those roundings (at b0 = 2,
+            # -0.5 is itself a midpoint)
+            scale = np.float32(2.0 ** rng.integers(-20, 20))
+            pool = _near_midpoints(build_codebook(b0)).astype(np.float32)
+            w = rng.choice(pool, size=rows * cols) * scale
+            w[::B0] = scale * rng.choice([-1, 1], size=w[::B0].size)
+            w = w.reshape(rows, cols)
+        else:
+            w = (rng.standard_normal((rows, cols)) * scale).astype(np.float32)
+        w[[r for r in zero_rows if r < rows]] = 0.0
+        cfg = QuantConfig(b0, b1, b2, B0, B1)
+        codes, s_codes, scales, values = reference_encode(w, cfg)
+        q = quantize_nf(w, cfg)
+        assert q.codes == pack_bits(codes, b0)
+        assert q.s_codes == pack_bits(s_codes, b1)
+        assert q.group_scales.tobytes() == scales.tobytes()
+        assert quantize_values(w, cfg).tobytes() == values.tobytes()
+        assert dequantize(q).tobytes() == values.tobytes()
+
+    @given(
+        bits=st.sampled_from(SUPPORTED_BITS),
+        extra=st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=40),
+        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_nearest_level_codes_match_binary_search(self, bits, extra, seed):
+        cb = build_codebook(bits)
+        values = np.random.default_rng(seed).permutation(np.append(_near_midpoints(cb), extra))
+        codes = nearest_level_codes(values, cb)
+        assert codes.dtype == np.uint8
+        assert np.array_equal(codes, np.searchsorted(cb.midpoints, values, side="left"))
+
+    @given(
+        values=st.lists(st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 1e6)),
+                        min_size=1, max_size=60),
+        bits=st.sampled_from(SUPPORTED_BITS),
+        group_size=st.integers(min_value=1, max_value=70),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rtn_matches_reference(self, values, bits, group_size):
+        arr = np.array(values)
+        codes, steps = rtn_quantize_unsigned(arr, bits, group_size)
+        ref_codes, _, ref_steps = reference_unsigned(arr, bits, group_size)
+        assert codes.tobytes() == ref_codes.tobytes()
+        assert steps.tobytes() == ref_steps.tobytes()
+
+
 class TestContainer:
     def test_exact_container_bytes(self):
         assert HEADER_BYTES == 33
@@ -290,6 +418,24 @@ class TestContainer:
         assert back.s_codes == q.s_codes
         assert np.array_equal(back.group_scales, q.group_scales)
         assert np.array_equal(dequantize(back), dequantize(q))
+
+    @pytest.mark.parametrize("B0, B1", [(2**31, 1), (4, 2**31), (2**31, 2**31)])
+    def test_blocks_longer_than_the_matrix(self, tmp_path, B0, B1):
+        # the header allows any uint32 block size; memory must follow the
+        # entry count, and a block or group past the end equals one that
+        # ends exactly there
+        w = np.random.default_rng(5).standard_normal((4, 4)).astype(np.float32)
+        cfg = QuantConfig(4, 8, "fp32", B0, B1)
+        exact = quantize_nf(w, QuantConfig(4, 8, "fp32", min(B0, 16), min(B1, 16 // min(B0, 16))))
+        q = quantize_nf(w, cfg)
+        assert (q.codes, q.s_codes) == (exact.codes, exact.s_codes)
+        assert np.array_equal(q.group_scales, exact.group_scales)
+        path = tmp_path / "m.lqq"
+        write_quantized(path, q)
+        back = read_quantized(path)
+        assert back.config == cfg
+        assert np.array_equal(dequantize(back), dequantize(exact))
+        assert np.array_equal(quantize_values(w, cfg), dequantize(exact))
 
     @pytest.mark.parametrize("fmt", ["fp32", "fp16", "bf16"])
     def test_scale_serialization_exact(self, tmp_path, fmt):
