@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .decompose import derive_seed, lq_decompose
-from .errors import InfeasibleBudgetError
+from .errors import FormatError, InfeasibleBudgetError
 from .quant import QuantConfig, storage_bits_per_param
 
 BRUTE_FORCE_GUARD = 10 ** 7
@@ -108,19 +109,31 @@ class SweepTable:
 
     @classmethod
     def from_json(cls, payload: dict) -> "SweepTable":
-        configs = [QuantConfig(b0, b1, b2, bs0, bs1) for b0, b1, b2, bs0, bs1 in payload["configs"]]
-        errors = np.array(
-            [[np.nan if e is None else float(e) for e in row] for row in payload["errors"]],
-            dtype=np.float64,
-        ).reshape(len(payload["sizes"]), len(configs))
-        return cls(
-            sizes=[int(s) for s in payload["sizes"]],
-            configs=configs,
-            errors=errors,
-            fisher_weighted=bool(payload["fisher_weighted"]),
-            rank=int(payload["rank"]),
-            seed=int(payload["seed"]),
-        )
+        """Parse a `to_json` payload; a missing or malformed field raises FormatError."""
+        try:
+            sizes = list(payload["sizes"])
+            if not sizes or not all(type(s) is int and s > 0 for s in sizes):
+                raise FormatError(f"sweep table sizes must be positive integers, got {sizes!r}")
+            configs = [QuantConfig(b0, b1, b2, bs0, bs1) for b0, b1, b2, bs0, bs1 in payload["configs"]]
+            rows = payload["errors"]
+            if len(rows) != len(sizes) or any(len(row) != len(configs) for row in rows):
+                raise FormatError(f"sweep table errors must be a {len(sizes)}x{len(configs)} matrix")
+            errors = np.array(
+                [[np.nan if e is None else float(e) for e in row] for row in rows],
+                dtype=np.float64,
+            )
+            return cls(
+                sizes=sizes,
+                configs=configs,
+                errors=errors,
+                fisher_weighted=bool(payload["fisher_weighted"]),
+                rank=int(payload["rank"]),
+                seed=int(payload["seed"]),
+            )
+        except KeyError as exc:
+            raise FormatError(f"sweep table has no {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"malformed sweep table: {exc}") from None
 
 
 def _storage_costs(table: SweepTable):
@@ -264,7 +277,14 @@ def sweep(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
 # exact multiple-choice knapsack
 # ---------------------------------------------------------------------------
 
-def _validate_table(table: SweepTable):
+def _capacity(table: SweepTable, budget_bits):
+    """The preamble both solvers share: validate, then scale the budget.
+
+    Returns (budget, costs, denom, cap) with the integer costs of
+    `_storage_costs`: a total of costs fits the exact budget when it is
+    <= cap.  Raises InfeasibleBudgetError if the cheapest config of every
+    matrix together does not fit.
+    """
     n, c = table.errors.shape
     if n != len(table.sizes) or c != len(table.configs):
         raise ValueError("inconsistent sweep table dimensions")
@@ -272,7 +292,13 @@ def _validate_table(table: SweepTable):
         raise ValueError("sweep table has unswept cells")
     if not np.all(np.isfinite(table.errors)):
         raise ValueError("sweep table errors must be finite")
-    return n, c
+    budget = Fraction(budget_bits)
+    s_int, denom = _storage_costs(table)
+    cap = math.floor(budget * denom)
+    min_storage = sum(min(row) for row in s_int)
+    if min_storage > cap:
+        raise InfeasibleBudgetError(budget, Fraction(min_storage, denom))
+    return budget, s_int, denom, cap
 
 
 def _exact_objective(errors, assignment) -> Fraction:
@@ -288,15 +314,9 @@ def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
     Branch and bound over matrices ordered by error spread, candidates
     ordered best-error-first, pruned against the LP-relaxation bound.
     """
-    n, c = _validate_table(table)
-    budget = Fraction(budget_bits)
-    s_int, denom = _storage_costs(table)
-    cap = math.floor(budget * denom)
+    budget, s_int, denom, cap = _capacity(table, budget_bits)
     errors = table.errors
-
-    min_storage = sum(min(row) for row in s_int)
-    if min_storage > cap:
-        raise InfeasibleBudgetError(budget, Fraction(min_storage, denom))
+    n, c = errors.shape
 
     # Unconstrained fast path: every matrix takes its own best-error
     # config (cheapest storage among exact error ties).
@@ -473,79 +493,29 @@ def _finish_solution(table: SweepTable, assignment, budget: Fraction,
 def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GUARD) -> AllocSolution:
     """Exhaustive reference solver for small instances.
 
-    Feasibility uses the same integer-scaled storage as solve_mckp; the
-    objective minimum is located with a vectorized float pass, then the
-    few candidates within the float-roundoff window are re-evaluated in
-    exact arithmetic.
+    Every one of the c**n assignments is checked with exact integers:
+    storage as the costs of `_storage_costs`, errors as their float
+    values times one common power of two (every finite float64 is a
+    multiple of 2**-1074), both summed as Python ints, so no total can
+    round or overflow.  Of the feasible assignments with the least error
+    the first in `itertools.product` order is returned.
     """
-    n, c = _validate_table(table)
+    budget, s_int, denom, cap = _capacity(table, budget_bits)
+    n, c = table.errors.shape
     if c ** n > guard:
         raise ValueError(f"instance size {c}**{n} exceeds the brute-force guard {guard}")
-    budget = Fraction(budget_bits)
-    s_int, denom = _storage_costs(table)
-    cap = math.floor(budget * denom)
+    ratios = [[float(e).as_integer_ratio() for e in row] for row in table.errors]
+    scale = math.lcm(*(den for row in ratios for _, den in row))
+    e_int = [[num * (scale // den) for num, den in row] for row in ratios]
 
-    min_storage = sum(min(row) for row in s_int)
-    if min_storage > cap:
-        raise InfeasibleBudgetError(budget, Fraction(min_storage, denom))
-
-    if any(abs(v) > (1 << 60) for row in s_int for v in row):
-        return _brute_force_python(table, budget, s_int, cap, denom, n, c)
-    # any combo fits under a cap this large; clamp so int64 compares are safe
-    cap = min(cap, sum(max(row) for row in s_int))
-
-    s_np = np.array(s_int, dtype=np.int64)
-    e_np = np.asarray(table.errors, dtype=np.float64)
-    total = c ** n
-    shape = (c,) * n
-    chunk = 1 << 18
-
-    best_float = math.inf
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        digits = np.unravel_index(idx, shape)
-        st = np.zeros(idx.size, dtype=np.int64)
-        et = np.zeros(idx.size)
-        for i in range(n):
-            st += s_np[i, digits[i]]
-            et += e_np[i, digits[i]]
-        feasible = st <= cap
-        if feasible.any():
-            best_float = min(best_float, float(et[feasible].min()))
-
-    # window covering worst-case float summation error
-    bound = n * 2.0 ** -52 * float(np.abs(e_np).max(axis=1).sum())
-    window = best_float + 4.0 * bound
-
-    best_exact = None
-    best_assign = None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        digits = np.unravel_index(idx, shape)
-        st = np.zeros(idx.size, dtype=np.int64)
-        et = np.zeros(idx.size)
-        for i in range(n):
-            st += s_np[i, digits[i]]
-            et += e_np[i, digits[i]]
-        for pos in np.nonzero((st <= cap) & (et <= window))[0]:
-            assignment = [int(digits[i][pos]) for i in range(n)]
-            exact = _exact_objective(table.errors, assignment)
-            if best_exact is None or exact < best_exact:
-                best_exact = exact
-                best_assign = assignment
-    return _finish_solution(table, best_assign, budget, s_int, denom)
-
-
-def _brute_force_python(table, budget, s_int, cap, denom, n, c):
-    best_exact = None
-    best_assign = None
+    best_error = best_assign = None
     for combo in itertools.product(range(c), repeat=n):
-        if sum(s_int[i][ci] for i, ci in enumerate(combo)) > cap:
+        # map(getitem, rows, combo) yields rows[i][combo[i]]
+        if sum(map(operator.getitem, s_int, combo)) > cap:
             continue
-        exact = _exact_objective(table.errors, combo)
-        if best_exact is None or exact < best_exact:
-            best_exact = exact
-            best_assign = list(combo)
+        error = sum(map(operator.getitem, e_int, combo))
+        if best_assign is None or error < best_error:
+            best_error, best_assign = error, list(combo)
     return _finish_solution(table, best_assign, budget, s_int, denom)
 
 

@@ -131,6 +131,15 @@ def _load_grid(path) -> ConfigGrid:
     return ConfigGrid(configs=tuple(QuantConfig(*row) for row in rows))
 
 
+def _read_table(path) -> SweepTable:
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: not a JSON sweep table: {exc}") from None
+    return SweepTable.from_json(payload)
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -265,8 +274,7 @@ def cmd_sweep(args) -> int:
         with open(manifest) as fh:
             previous = json.load(fh)
         if previous.get("params") == params:
-            with open(out) as fh:
-                errors_init = SweepTable.from_json(json.load(fh)).errors
+            errors_init = _read_table(out).errors
             done = int(np.sum(~np.isnan(errors_init)))
             print(f"resuming: {done}/{errors_init.size} cells already swept")
 
@@ -288,8 +296,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_allocate(args) -> int:
     start = time.perf_counter()
-    with open(args.table) as fh:
-        table = SweepTable.from_json(json.load(fh))
+    table = _read_table(args.table)
     budget_bits = args.budget_bits_per_param * sum(table.sizes)
     solver = brute_force_mckp if args.brute_force else solve_mckp
     solution = solver(table, budget_bits)

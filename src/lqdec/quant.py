@@ -79,6 +79,14 @@ def storage_bits_per_param(cfg: QuantConfig) -> Fraction:
     return Fraction(cfg.b0) + Fraction(cfg.b1, cfg.B0) + Fraction(width, cfg.B0 * cfg.B1)
 
 
+def container_counts(rows: int, cols: int, cfg: QuantConfig):
+    """(entries, blocks, groups) of a rows x cols matrix under cfg."""
+    n = rows * cols
+    n_blocks = -(-n // cfg.B0)
+    n_groups = -(-n_blocks // cfg.B1)
+    return n, n_blocks, n_groups
+
+
 def cast_float(values, fmt: str) -> np.ndarray:
     """Round values to a reduced float format, returned widened to fp32.
 
@@ -171,7 +179,7 @@ class QuantizedMatrix:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise FormatError("matrix dimensions must be positive")
-        n, n_blocks, n_groups = self.counts()
+        n, n_blocks, n_groups = container_counts(self.rows, self.cols, self.config)
         if len(self.codes) != packed_size(n, self.config.b0):
             raise FormatError(
                 f"code stream holds {len(self.codes)} bytes, expected "
@@ -189,12 +197,6 @@ class QuantizedMatrix:
             raise FormatError("group scales must be finite and nonnegative")
         scales.flags.writeable = False
         object.__setattr__(self, "group_scales", scales)
-
-    def counts(self):
-        n = self.rows * self.cols
-        n_blocks = -(-n // self.config.B0)
-        n_groups = -(-n_blocks // self.config.B1)
-        return n, n_blocks, n_groups
 
 
 def nearest_level_codes(normalized, codebook) -> np.ndarray:
@@ -288,7 +290,7 @@ def _block_scales(s_codes: np.ndarray, group_scales: np.ndarray, cfg: QuantConfi
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
     """Reconstruct the float32 matrix a container encodes."""
     cfg = q.config
-    n, n_blocks, _ = q.counts()
+    n, n_blocks, _ = container_counts(q.rows, q.cols, cfg)
     codes = unpack_bits(q.codes, cfg.b0, n)
     s_codes = unpack_bits(q.s_codes, cfg.b1, n_blocks)
     return _decode((q.rows, q.cols), codes, _block_scales(s_codes, q.group_scales, cfg), cfg)
@@ -329,9 +331,7 @@ HEADER_BYTES = _HEADER.size
 
 def container_layout(rows: int, cols: int, cfg: QuantConfig):
     """Byte sizes of the container sections: header, codes, s_codes, scales."""
-    n = rows * cols
-    n_blocks = -(-n // cfg.B0)
-    n_groups = -(-n_blocks // cfg.B1)
+    n, n_blocks, n_groups = container_counts(rows, cols, cfg)
     return (
         HEADER_BYTES,
         packed_size(n, cfg.b0),
@@ -400,8 +400,7 @@ def read_quantized(path) -> QuantizedMatrix:
     codes = blob[header_b:header_b + code_b]
     s_codes = blob[header_b + code_b:header_b + code_b + scode_b]
     scales = _scales_from_bytes(blob[header_b + code_b + scode_b:], cfg.b2)
-    n = rows * cols
-    n_blocks = -(-n // cfg.B0)
+    n, n_blocks, _ = container_counts(rows, cols, cfg)
     if not padding_is_zero(codes, cfg.b0, n) or not padding_is_zero(s_codes, cfg.b1, n_blocks):
         raise FormatError(f"{path}: nonzero padding bits")
     try:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import FormatError
 from .packing import pack_bits
-from .quant import QuantConfig, QuantizedMatrix, dequantize
+from .quant import QuantConfig, QuantizedMatrix, container_counts, dequantize
 
 _MAGIC = b"LQT1"
 _HEADER = struct.Struct("<4sHBBQQ")
@@ -115,12 +115,8 @@ def _gen_on_grid(rows: int, cols: int, rng, cfg: QuantConfig) -> np.ndarray:
     """
     if cfg.b2 != "fp32":
         raise ValueError("on-grid fixtures require b2 = fp32")
-    from .codebook import build_codebook
 
-    n = rows * cols
-    n_blocks = -(-n // cfg.B0)
-    n_groups = -(-n_blocks // cfg.B1)
-    cb = build_codebook(cfg.b0)
+    n, n_blocks, n_groups = container_counts(rows, cols, cfg)
 
     codes = rng.integers(0, 1 << cfg.b0, size=n).astype(np.uint8)
     block_starts = np.arange(0, n, cfg.B0)

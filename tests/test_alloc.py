@@ -184,6 +184,22 @@ class TestBruteForce:
         b = brute_force_mckp(table, 10 ** 9)
         assert a.total_error == b.total_error
 
+    # The configs cost 35/16 and 2113/512 bits per param, so the integer
+    # costs, in 1/512 bits, are 1120 * size and 2113 * size.
+    @pytest.mark.parametrize("size", [
+        (1 << 60) // 2113,  # each cost just under 2**60, ten of them past 2**63
+        (1 << 64) // 2113,  # each cost past 2**63
+    ])
+    def test_huge_costs_stay_within_budget(self, size):
+        configs = [QuantConfig(2, 2, "fp16", 16, 16), QuantConfig(4, 8, "fp32", 64, 256)]
+        rng = np.random.default_rng(0)
+        table = make_table(rng.uniform(0, 10, (10, 2)), sizes=[size] * 10, configs=configs)
+        budget = Fraction(5, 2) * sum(table.sizes)
+        want = solve_mckp(table, budget)
+        got = brute_force_mckp(table, budget)
+        assert got.total_storage_bits <= budget
+        assert got.total_error == want.total_error
+
 
 class TestJsonRoundTrips:
     def test_sweep_table(self):

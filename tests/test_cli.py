@@ -42,6 +42,12 @@ def write_grid(dirpath, rows, as_dict=False):
 SMALL_GRID = [[2, 2, "fp16", 16, 16], [3, 4, "fp32", 16, 64]]
 
 
+def small_table(sizes, errors):
+    """A table.json text over SMALL_GRID."""
+    return json.dumps({"sizes": sizes, "configs": SMALL_GRID, "errors": errors,
+                       "fisher_weighted": False, "rank": 1, "seed": 0})
+
+
 class TestExitCodes:
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -120,6 +126,34 @@ class TestExitCodes:
         code = cli.main(["quantize", str(m), str(tmp_path / "q.lqq"),
                          "--config", "5,8,fp32,64,256"])
         assert code == 1
+
+    @pytest.mark.parametrize("payload", [
+        '{"sizes": [16]}',
+        small_table([16, 16], [[1.0, 2.0]]),
+        # 2x3 errors for 3 matrices x 2 configs: as many cells, wrong shape
+        small_table([16, 16, 16], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        small_table([-16, 16], [[1.0, 0.5], [2.0, 1.0]]),
+        small_table([], []),
+        '{"sizes": [16], "configs"',
+    ], ids=["no-configs", "short-errors", "transposed-errors", "negative-size", "no-matrices",
+            "not-json"])
+    def test_malformed_table(self, tmp_path, capsys, payload):
+        table = tmp_path / "table.json"
+        table.write_text(payload)
+        code = cli.main(["allocate", str(table), "-o", str(tmp_path / "sol.json"),
+                         "--budget-bits-per-param", "4"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("format error: ")
+
+    def test_malformed_table_on_resume(self, tmp_path, capsys):
+        m = make_matrix(tmp_path, "m.lqt")
+        grid = write_grid(tmp_path, SMALL_GRID)
+        table = tmp_path / "table.json"
+        argv = ["sweep", str(m), "-o", str(table), "--grid", str(grid)]
+        assert cli.main(argv) == 0
+        table.write_text(table.read_text()[:-20])
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("format error: ")
 
 
 class TestGen:
