@@ -8,14 +8,18 @@ lower bound at each node is the classic LP relaxation: every remaining
 class sits at its cheapest config and budget is spent on convex-hull
 upgrade increments in order of error reduction per bit.
 
-Exactness is engineered in three layers: storage is integer arithmetic
-(all costs scaled by the common denominator of the grid), objective sums
-are exact rationals built from the float error table, and the float LP
-bound is only trusted up to a safety margin when pruning.
+The search is exact in integers from start to finish: storage costs are
+scaled by the common denominator of the grid, and errors by the common
+power-of-two denominator of the float table.  Sums, dominance, hulls,
+the increment order and every prune against the LP bound compare Python
+ints, so no margin is needed and scaling the table by a power of two
+changes neither the assignment nor the search.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import operator
@@ -27,7 +31,7 @@ import numpy as np
 
 from .decompose import derive_seed, lq_decompose
 from .errors import FormatError, InfeasibleBudgetError
-from .quant import QuantConfig, storage_bits_per_param
+from .quant import QuantConfig, storage_bits_per_param, storage_bits_ratio
 
 BRUTE_FORCE_GUARD = 10 ** 7
 
@@ -144,21 +148,27 @@ def _storage_costs(table: SweepTable):
     lcm of the per-config denominators.  An integer total fits a budget
     exactly when it is <= floor(budget * denom).
     """
-    per_param = [storage_bits_per_param(cfg) for cfg in table.configs]
-    denom = math.lcm(*(b.denominator for b in per_param))
-    scaled = [b.numerator * (denom // b.denominator) for b in per_param]
+    per_param = [storage_bits_ratio(cfg) for cfg in table.configs]
+    denom = math.lcm(*(den for _, den in per_param))
+    scaled = [num * (denom // den) for num, den in per_param]
     return [[int(size) * k for k in scaled] for size in table.sizes], denom
 
 
 @dataclass
 class AllocSolution:
-    """One config index per matrix plus exact totals."""
+    """One config index per matrix plus exact totals.
+
+    `nodes` (search nodes visited) and `bounds` (LP bounds evaluated)
+    report the work of `solve_mckp`; they are None for other solvers.
+    """
 
     assignment: list
     total_error: float
     total_storage_bits: Fraction
     budget_bits: Fraction
     optimal: bool
+    nodes: int = None
+    bounds: int = None
 
     def to_json(self) -> dict:
         return {
@@ -167,6 +177,8 @@ class AllocSolution:
             "total_storage_bits": str(self.total_storage_bits),
             "budget_bits": str(self.budget_bits),
             "optimal": bool(self.optimal),
+            "nodes": self.nodes,
+            "bounds": self.bounds,
         }
 
     @classmethod
@@ -177,6 +189,8 @@ class AllocSolution:
             total_storage_bits=Fraction(payload["total_storage_bits"]),
             budget_bits=Fraction(payload["budget_bits"]),
             optimal=bool(payload["optimal"]),
+            nodes=payload.get("nodes"),
+            bounds=payload.get("bounds"),
         )
 
 
@@ -301,11 +315,20 @@ def _capacity(table: SweepTable, budget_bits):
     return budget, s_int, denom, cap
 
 
-def _exact_objective(errors, assignment) -> Fraction:
-    total = Fraction(0)
-    for i, ci in enumerate(assignment):
-        total += Fraction(float(errors[i, ci]))
-    return total
+def _integer_errors(errors):
+    """The table's errors as Python ints over one common power of two.
+
+    Returns (e_int, scale) with errors[i, c] == e_int[i][c] / scale
+    exactly: each finite float is a 53-bit integer mantissa times a power
+    of two, and scale is one over the smallest of those powers (at most
+    1).  Sums and comparisons of e_int never round or overflow.
+    """
+    mant, exp = np.frexp(errors)
+    exp -= 53  # errors == (mant * 2**53) * 2**exp, the factor an int
+    low = min(int(exp.min()), 0)
+    ints = (mant * 2.0 ** 53).astype(np.int64).tolist()
+    shifts = (exp - low).tolist()
+    return [[m << k for m, k in zip(m_row, k_row)] for m_row, k_row in zip(ints, shifts)], 1 << -low
 
 
 def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
@@ -313,180 +336,186 @@ def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
 
     Branch and bound over matrices ordered by error spread, candidates
     ordered best-error-first, pruned against the LP-relaxation bound.
+    All search arithmetic is on the ints of `_storage_costs` and
+    `_integer_errors`, so every prune is exact.  The solution reports the
+    search nodes visited and the LP bounds evaluated.
     """
     budget, s_int, denom, cap = _capacity(table, budget_bits)
-    errors = table.errors
-    n, c = errors.shape
+    e_int, scale = _integer_errors(table.errors)
+    n, c = table.errors.shape
 
     # Unconstrained fast path: every matrix takes its own best-error
     # config (cheapest storage among exact error ties).
-    greedy_best = []
-    for i in range(n):
-        ci = min(range(c), key=lambda j: (errors[i, j], s_int[i][j]))
-        greedy_best.append(ci)
-    if sum(s_int[i][greedy_best[i]] for i in range(n)) <= cap:
-        return _finish_solution(table, greedy_best, budget, s_int, denom)
+    greedy_best = [min(zip(e_row, s_row, range(c)))[2] for e_row, s_row in zip(e_int, s_int)]
+    if sum(s_row[j] for s_row, j in zip(s_int, greedy_best)) <= cap:
+        return _finish_solution(greedy_best, budget, s_int, denom, e_int, scale,
+                                nodes=0, bounds=0)
 
-    # Per-class candidate lists: (storage_int, error, orig_idx), storage
+    # Per-class candidate lists: (storage, error, orig_idx), storage
     # ascending.  Dominance keeps only items that strictly improve error.
     classes = []
-    for i in range(n):
-        items = sorted(
-            ((s_int[i][j], float(errors[i, j]), j) for j in range(c)),
-            key=lambda t: (t[0], t[1]),
-        )
+    for s_row, e_row in zip(s_int, e_int):
         kept = []
-        best_err = math.inf
-        for s, e, j in items:
-            if e < best_err:
-                kept.append((s, e, j))
-                best_err = e
+        for item in sorted(zip(s_row, e_row, range(c))):
+            if not kept or item[1] < kept[-1][1]:
+                kept.append(item)
         classes.append(kept)
 
-    # Process classes with the widest error spread first.
-    order = sorted(range(n), key=lambda i: classes[i][0][1] - classes[i][-1][1], reverse=True)
+    # Process classes with the widest error spread first.  The order only
+    # steers the search; it stays the float spread of the table so that
+    # tied optima resolve as they always have.
+    rows = table.errors.tolist()
+    order = sorted(range(n), key=lambda i: rows[i][classes[i][0][2]] - rows[i][classes[i][-1][2]],
+                   reverse=True)
     classes = [classes[i] for i in order]
     hulls = [_class_hull(items) for items in classes]
-    dfs_candidates = [sorted(items, key=lambda t: (t[1], t[0])) for items in classes]
-
-    # Suffix minima for feasibility and the LP base (cheapest config per
-    # remaining class).
-    suffix_min_s = [0] * (n + 1)
-    suffix_base_e = [0.0] * (n + 1)
-    for d in range(n - 1, -1, -1):
-        suffix_min_s[d] = suffix_min_s[d + 1] + min(s for s, _, _ in classes[d])
-        suffix_base_e[d] = suffix_base_e[d + 1] + hulls[d][0][1]
-
+    candidates = [sorted(items, key=lambda t: (t[1], t[0])) for items in classes]
     increments = _hull_increments(hulls)
 
-    def lp_bound(depth: int, used: int) -> float:
-        capacity = cap - used - suffix_min_s[depth]
-        if capacity < 0:
-            return math.inf
-        reduction = 0.0
-        for eff, ds, de, cls, _ in increments:
-            if cls < depth:
+    # Per depth d, the LP relaxation of classes d.. as prefix lists over
+    # their increments in efficiency order: taking the first k increments
+    # costs ps[k] storage beyond the cheapest configs and leaves error
+    # lp[k].  A last sentinel step costs more than any capacity and
+    # reduces nothing, so one bisection finds the fractional step.
+    suffix_base_e = [0] * (n + 1)
+    for d in range(n - 1, -1, -1):
+        suffix_base_e[d] = suffix_base_e[d + 1] + hulls[d][0][1]
+    prefix = [None]
+    for d in range(1, n + 1):
+        ps, lp = [0], [suffix_base_e[d]]
+        for ds, de, cls in increments:
+            if cls >= d:
+                ps.append(ps[-1] + ds)
+                lp.append(lp[-1] - de)
+        ps.append(ps[-1] + cap + 1)
+        lp.append(lp[-1])
+        prefix.append((ps, lp))
+
+    best, incumbent = _greedy_incumbent(hulls, increments, cap)
+
+    # Depth-first search with an explicit stack of candidate iterators;
+    # spare[d] is the capacity left above the cheapest configs of classes
+    # d.. by the choices above depth d.  A candidate leaving capacity rem
+    # to the classes below is pruned when its error plus their LP bound,
+    #     err + lp[k] - (lp[k] - lp[k+1]) * (rem - ps[k]) / (ps[k+1] - ps[k]),
+    # is at least the incumbent: cross-multiplied, in ints.  A leaf that
+    # survives is strictly better than the incumbent.
+    chosen = [0] * n
+    spare = [cap - sum(hull[0][0] for hull in hulls)] + [0] * (n - 1)
+    err = [0] * n
+    pending = [iter(candidates[0])] + [None] * (n - 1)
+    nodes, bounds = 1, 0
+    depth = 0
+    while depth >= 0:
+        ps, lp = prefix[depth + 1]
+        room = spare[depth] + hulls[depth][0][0]
+        for s, e, j in pending[depth]:
+            rem = room - s
+            if rem < 0:
                 continue
-            if ds <= capacity:
-                reduction += de
-                capacity -= ds
-            else:
-                reduction += eff * capacity
-                break
-        return suffix_base_e[depth] - reduction
-
-    incumbent_assign, incumbent = _greedy_incumbent(classes, hulls, increments, cap, order, n)
-
-    # Depth-first exact search.  Candidate error sums are exact rationals;
-    # the float LP bound is only trusted up to a safety margin.
-    stack_assign = [0] * n
-
-    def dfs(depth: int, used: int, err_exact: Fraction, err_float: float):
-        nonlocal incumbent_assign, incumbent
-        if depth == n:
-            if err_exact < incumbent:
-                incumbent = err_exact
-                assignment = [0] * n
-                for d, i in enumerate(order):
-                    assignment[i] = stack_assign[d]
-                incumbent_assign = assignment
-            return
-        inc_float = float(incumbent)
-        margin = 1e-9 * (1.0 + abs(inc_float))
-        for s, e, j in dfs_candidates[depth]:
-            new_used = used + s
-            if new_used + suffix_min_s[depth + 1] > cap:
+            bounds += 1
+            new_err = err[depth] + e
+            k = bisect.bisect_right(ps, rem) - 1
+            if (new_err + lp[k] - incumbent) * (ps[k + 1] - ps[k]) >= (lp[k] - lp[k + 1]) * (rem - ps[k]):
                 continue
-            bound = err_float + e + lp_bound(depth + 1, new_used)
-            if bound >= inc_float + margin:
+            nodes += 1
+            chosen[depth] = j
+            if depth + 1 == n:
+                best, incumbent = list(chosen), new_err
                 continue
-            stack_assign[depth] = j
-            dfs(depth + 1, new_used, err_exact + Fraction(e), err_float + e)
-            inc_float = float(incumbent)
-            margin = 1e-9 * (1.0 + abs(inc_float))
+            depth += 1
+            spare[depth] = rem
+            err[depth] = new_err
+            pending[depth] = iter(candidates[depth])
+            break
+        else:
+            depth -= 1
 
-    dfs(0, 0, Fraction(0), 0.0)
-    return _finish_solution(table, incumbent_assign, budget, s_int, denom)
+    assignment = [0] * n
+    for d, i in enumerate(order):
+        assignment[i] = best[d]
+    return _finish_solution(assignment, budget, s_int, denom, e_int, scale,
+                            nodes=nodes, bounds=bounds)
 
 
 def _class_hull(items):
-    """Lower convex hull of (storage, error) points, storage ascending.
+    """Lower convex hull of a class's (storage, error, orig_idx) items.
 
-    Membership comparisons are exact: storage values are ints and error
-    floats convert to rationals losslessly, so no hull point that could
-    support the LP relaxation is ever dropped.
+    `items` strictly improve: storage ascending, error descending.  A
+    middle point is dropped when the increment past it is at least as
+    efficient as the one into it, compared exactly by cross-multiplying
+    ints, so error reduction per bit strictly decreases along the hull.
     """
     hull = []
-    for s, e, _ in items:
-        if hull and s == hull[-1][0]:
-            continue  # duplicate storage: the earlier (lower-error) point wins
-        if hull and e >= hull[-1][1]:
-            continue  # not an improvement, never on the lower hull
+    for item in items:
+        s, e, _ = item
         while len(hull) >= 2:
-            s0, e0 = hull[-2]
-            s1, e1 = hull[-1]
-            # pop the middle point when the new increment is at least as
-            # efficient as the previous one
-            if (Fraction(e1) - Fraction(e)) * (s1 - s0) >= (Fraction(e0) - Fraction(e1)) * (s - s1):
+            (s0, e0, _), (s1, e1, _) = hull[-2], hull[-1]
+            if (e1 - e) * (s1 - s0) >= (e0 - e1) * (s - s1):
                 hull.pop()
             else:
                 break
-        hull.append((s, e))
+        hull.append(item)
     return hull
+
+
+def _by_efficiency(a, b):
+    """Order increments by error reduction per bit, descending, then by class."""
+    return (b[1] * a[0] - a[1] * b[0]) or (a[2] - b[2])
 
 
 def _hull_increments(hulls):
     """Upgrade increments of all class hulls, globally sorted.
 
-    Returns (efficiency, delta_storage_int, delta_error, class_idx,
-    step_idx) sorted by efficiency descending.  Efficiency is strictly
-    decreasing along each exact hull, so a stable tie-break keeps
-    within-class sequencing intact.
+    Returns (delta_storage, delta_error, class_idx) sorted by efficiency
+    delta_error / delta_storage descending, compared exactly.  Efficiency
+    strictly decreases along each hull, so each class's steps stay in
+    sequence.
     """
-    increments = []
-    for cls_idx, hull in enumerate(hulls):
-        for step, ((s0, e0), (s1, e1)) in enumerate(zip(hull, hull[1:])):
-            increments.append(((e0 - e1) / (s1 - s0), s1 - s0, e0 - e1, cls_idx, step))
-    increments.sort(key=lambda t: (-t[0], t[3], t[4]))
+    increments = [
+        (s1 - s0, e0 - e1, cls)
+        for cls, hull in enumerate(hulls)
+        for (s0, e0, _), (s1, e1, _) in zip(hull, hull[1:])
+    ]
+    increments.sort(key=functools.cmp_to_key(_by_efficiency))
     return increments
 
 
-def _greedy_incumbent(classes, hulls, increments, cap, order, n):
-    """Integral greedy along the LP increments; exact evaluation."""
+def _greedy_incumbent(hulls, increments, cap):
+    """Integral greedy along the LP increments.
+
+    Walks the increments most-efficient-first and stops upgrading a class
+    at its first step that does not fit.  Returns the chosen orig_idx per
+    class and their total error.
+    """
     used = sum(hull[0][0] for hull in hulls)
-    blocked = [False] * n
-    taken_steps = [0] * n
-    # walk increments most-efficient-first, honoring per-class sequencing
-    for _, ds, _, cls, step in increments:
-        if blocked[cls] or step != taken_steps[cls]:
-            blocked[cls] = True
+    blocked = [False] * len(hulls)
+    taken = [0] * len(hulls)
+    for ds, _, cls in increments:
+        if blocked[cls]:
             continue
         if used + ds <= cap:
             used += ds
-            taken_steps[cls] += 1
+            taken[cls] += 1
         else:
             blocked[cls] = True
-    # map hull positions back to concrete candidates
-    assignment = [0] * n
-    exact = Fraction(0)
-    for depth, items in enumerate(classes):
-        s, e = hulls[depth][taken_steps[depth]]
-        j = next(j for si, ei, j in items if si == s and ei == e)
-        assignment[order[depth]] = j
-        exact += Fraction(e)
-    return assignment, exact
+    picks = [hull[t] for hull, t in zip(hulls, taken)]
+    return [j for _, _, j in picks], sum(e for _, e, _ in picks)
 
 
-def _finish_solution(table: SweepTable, assignment, budget: Fraction,
-                     s_int, denom: int) -> AllocSolution:
+def _finish_solution(assignment, budget: Fraction, s_int, denom: int, e_int, scale: int,
+                     nodes=None, bounds=None) -> AllocSolution:
     total_storage = sum(s_int[i][ci] for i, ci in enumerate(assignment))
-    exact_error = _exact_objective(table.errors, assignment)
+    total_error = sum(e_int[i][ci] for i, ci in enumerate(assignment))
     return AllocSolution(
         assignment=list(assignment),
-        total_error=float(exact_error),
+        # int / int rounds correctly, as float(Fraction(total_error, scale))
+        total_error=total_error / scale,
         total_storage_bits=Fraction(total_storage, denom),
         budget_bits=budget,
         optimal=True,
+        nodes=nodes,
+        bounds=bounds,
     )
 
 
@@ -494,19 +523,16 @@ def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GU
     """Exhaustive reference solver for small instances.
 
     Every one of the c**n assignments is checked with exact integers:
-    storage as the costs of `_storage_costs`, errors as their float
-    values times one common power of two (every finite float64 is a
-    multiple of 2**-1074), both summed as Python ints, so no total can
-    round or overflow.  Of the feasible assignments with the least error
+    storage as the costs of `_storage_costs`, errors as the ints of
+    `_integer_errors`, both summed as Python ints, so no total can round
+    or overflow.  Of the feasible assignments with the least error
     the first in `itertools.product` order is returned.
     """
     budget, s_int, denom, cap = _capacity(table, budget_bits)
     n, c = table.errors.shape
     if c ** n > guard:
         raise ValueError(f"instance size {c}**{n} exceeds the brute-force guard {guard}")
-    ratios = [[float(e).as_integer_ratio() for e in row] for row in table.errors]
-    scale = math.lcm(*(den for row in ratios for _, den in row))
-    e_int = [[num * (scale // den) for num, den in row] for row in ratios]
+    e_int, scale = _integer_errors(table.errors)
 
     best_error = best_assign = None
     for combo in itertools.product(range(c), repeat=n):
@@ -516,7 +542,7 @@ def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GU
         error = sum(map(operator.getitem, e_int, combo))
         if best_assign is None or error < best_error:
             best_error, best_assign = error, list(combo)
-    return _finish_solution(table, best_assign, budget, s_int, denom)
+    return _finish_solution(best_assign, budget, s_int, denom, e_int, scale)
 
 
 # ---------------------------------------------------------------------------

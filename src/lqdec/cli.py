@@ -306,7 +306,8 @@ def cmd_allocate(args) -> int:
         "table": str(args.table),
         "budget_bits_per_param": str(args.budget_bits_per_param),
         "brute_force": bool(args.brute_force),
-    }, [args.table], [out], time.perf_counter() - start)
+    }, [args.table], [out], time.perf_counter() - start,
+                    {"nodes": solution.nodes, "bounds": solution.bounds})
     used = float(solution.total_storage_bits / sum(table.sizes))
     print(f"total_error={solution.total_error:.6e} bits_per_param={used:.6f} "
           f"optimal={solution.optimal}")
@@ -350,6 +351,8 @@ def cmd_init(args) -> int:
         "matrices": per_matrix,
         "total_error": solution.total_error,
         "bits_per_param": float(solution.total_storage_bits / sum(table.sizes)),
+        "nodes": solution.nodes,
+        "bounds": solution.bounds,
     }, manifest=out_dir / "manifest.json")
     print(f"total_error={solution.total_error:.6e} optimal={solution.optimal}")
     return 0

@@ -14,6 +14,7 @@ exactly, which `storage_bits_per_param` reports as a rational number.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,10 +74,21 @@ class QuantConfig:
         return (self.b0, self.b1, self.b2, self.B0, self.B1)
 
 
+def storage_bits_ratio(cfg: QuantConfig):
+    """Exact storage cost in bits per matrix entry as (numerator, denominator).
+
+    The cost is ((b0 * B0 + b1) * B1 + width(b2)) / (B0 * B1), returned in
+    lowest terms.
+    """
+    num = (cfg.b0 * cfg.B0 + cfg.b1) * cfg.B1 + FLOAT_FORMATS[cfg.b2]
+    den = cfg.B0 * cfg.B1
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def storage_bits_per_param(cfg: QuantConfig) -> Fraction:
     """Exact storage cost in bits per matrix entry."""
-    width = FLOAT_FORMATS[cfg.b2]
-    return Fraction(cfg.b0) + Fraction(cfg.b1, cfg.B0) + Fraction(width, cfg.B0 * cfg.B1)
+    return Fraction(*storage_bits_ratio(cfg))
 
 
 def container_counts(rows: int, cols: int, cfg: QuantConfig):

@@ -13,6 +13,7 @@ from lqdec.alloc import (
     ConfigGrid,
     LORA_FORMATS,
     SweepTable,
+    _capacity,
     brute_force_mckp,
     default_grid,
     lq_lora_init,
@@ -36,6 +37,133 @@ def make_table(errors, sizes=None, configs=None):
         configs = list(default_grid().configs[:c])
     return SweepTable(sizes=list(sizes), configs=configs, errors=errors,
                       fisher_weighted=False, rank=1, seed=0)
+
+
+def reference_solve_mckp(table, budget_bits):
+    """The assignment of `solve_mckp` as first written, in floats and Fractions.
+
+    Candidate error sums are exact rationals, the LP bound is a float
+    scan over every increment trusted up to a 1e-9 * (1 + |incumbent|)
+    margin, and the increments are ordered by float efficiency.
+    """
+    _, s_int, _, cap = _capacity(table, budget_bits)
+    errors = table.errors
+    n, c = errors.shape
+
+    greedy_best = []
+    for i in range(n):
+        greedy_best.append(min(range(c), key=lambda j: (errors[i, j], s_int[i][j])))
+    if sum(s_int[i][greedy_best[i]] for i in range(n)) <= cap:
+        return greedy_best
+
+    classes = []
+    for i in range(n):
+        items = sorted(((s_int[i][j], float(errors[i, j]), j) for j in range(c)),
+                       key=lambda t: (t[0], t[1]))
+        kept = []
+        best_err = math.inf
+        for s, e, j in items:
+            if e < best_err:
+                kept.append((s, e, j))
+                best_err = e
+        classes.append(kept)
+
+    order = sorted(range(n), key=lambda i: classes[i][0][1] - classes[i][-1][1], reverse=True)
+    classes = [classes[i] for i in order]
+    hulls = []
+    for items in classes:
+        hull = []
+        for s, e, _ in items:
+            if hull and s == hull[-1][0]:
+                continue
+            if hull and e >= hull[-1][1]:
+                continue
+            while len(hull) >= 2:
+                s0, e0 = hull[-2]
+                s1, e1 = hull[-1]
+                if (Fraction(e1) - Fraction(e)) * (s1 - s0) >= (Fraction(e0) - Fraction(e1)) * (s - s1):
+                    hull.pop()
+                else:
+                    break
+            hull.append((s, e))
+        hulls.append(hull)
+    dfs_candidates = [sorted(items, key=lambda t: (t[1], t[0])) for items in classes]
+
+    suffix_min_s = [0] * (n + 1)
+    suffix_base_e = [0.0] * (n + 1)
+    for d in range(n - 1, -1, -1):
+        suffix_min_s[d] = suffix_min_s[d + 1] + min(s for s, _, _ in classes[d])
+        suffix_base_e[d] = suffix_base_e[d + 1] + hulls[d][0][1]
+
+    increments = []
+    for cls_idx, hull in enumerate(hulls):
+        for step, ((s0, e0), (s1, e1)) in enumerate(zip(hull, hull[1:])):
+            increments.append(((e0 - e1) / (s1 - s0), s1 - s0, e0 - e1, cls_idx, step))
+    increments.sort(key=lambda t: (-t[0], t[3], t[4]))
+
+    def lp_bound(depth, used):
+        capacity = cap - used - suffix_min_s[depth]
+        if capacity < 0:
+            return math.inf
+        reduction = 0.0
+        for eff, ds, de, cls, _ in increments:
+            if cls < depth:
+                continue
+            if ds <= capacity:
+                reduction += de
+                capacity -= ds
+            else:
+                reduction += eff * capacity
+                break
+        return suffix_base_e[depth] - reduction
+
+    used = sum(hull[0][0] for hull in hulls)
+    blocked = [False] * n
+    taken_steps = [0] * n
+    for _, ds, _, cls, step in increments:
+        if blocked[cls] or step != taken_steps[cls]:
+            blocked[cls] = True
+            continue
+        if used + ds <= cap:
+            used += ds
+            taken_steps[cls] += 1
+        else:
+            blocked[cls] = True
+    incumbent_assign = [0] * n
+    incumbent = Fraction(0)
+    for depth, items in enumerate(classes):
+        s, e = hulls[depth][taken_steps[depth]]
+        incumbent_assign[order[depth]] = next(j for si, ei, j in items if si == s and ei == e)
+        incumbent += Fraction(e)
+
+    stack_assign = [0] * n
+
+    def dfs(depth, used, err_exact, err_float):
+        nonlocal incumbent_assign, incumbent
+        if depth == n:
+            if err_exact < incumbent:
+                incumbent = err_exact
+                assignment = [0] * n
+                for d, i in enumerate(order):
+                    assignment[i] = stack_assign[d]
+                incumbent_assign = assignment
+            return
+        inc_float = float(incumbent)
+        margin = 1e-9 * (1.0 + abs(inc_float))
+        for s, e, j in dfs_candidates[depth]:
+            new_used = used + s
+            if new_used + suffix_min_s[depth + 1] > cap:
+                continue
+            bound = err_float + e + lp_bound(depth + 1, new_used)
+            if bound >= inc_float + margin:
+                continue
+            stack_assign[depth] = j
+            dfs(depth + 1, new_used, err_exact + Fraction(e), err_float + e)
+            inc_float = float(incumbent)
+            margin = 1e-9 * (1.0 + abs(inc_float))
+
+    dfs(0, 0, Fraction(0), 0.0)
+    return incumbent_assign
 
 
 class TestConfigGrid:
@@ -169,6 +297,69 @@ class TestSolveMckp:
             solve_mckp(table, 100)
 
 
+def seeded_table(n, seed):
+    """An n-matrix table over the default grid, errors falling with storage."""
+    rng = np.random.default_rng(seed)
+    configs = list(default_grid().configs)
+    bits = np.array([float(storage_bits_per_param(cfg)) for cfg in configs])
+    sizes = [int(s) for s in rng.integers(1, 9, n) * 256]
+    errors = np.array([s * 2.0 ** (-2 * bits) * rng.lognormal(0, 0.3, bits.size) for s in sizes])
+    return make_table(errors * rng.lognormal(0, 1, (n, 1)), sizes=sizes, configs=configs)
+
+
+# Configs with few distinct storage costs: bf16 and fp16 scales cost the same.
+TIED_COST_CONFIGS = [QuantConfig(b0, 2, b2, B0, 16)
+                     for b0 in (2, 3) for b2 in ("bf16", "fp16") for B0 in (16, 32)]
+
+
+class TestExactSearch:
+    @pytest.mark.parametrize("frac", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+    def test_power_of_two_scaling_changes_nothing(self, frac):
+        # The search compares exact ints, so scaling every error by 2**-40
+        # (exact in floats) changes neither the assignment nor the work done.
+        table = seeded_table(4, seed=0)
+        scaled = make_table(table.errors * 2.0 ** -40, sizes=table.sizes, configs=table.configs)
+        budget = (2 + 2 * frac) * sum(table.sizes)
+        want = solve_mckp(table, budget)
+        got = solve_mckp(scaled, budget)
+        assert want.nodes > 1
+        assert got.assignment == want.assignment
+        assert (got.nodes, got.bounds) == (want.nodes, want.bounds)
+        assert got.total_error == want.total_error * 2.0 ** -40
+
+    def test_unconstrained_budget_runs_no_search(self):
+        sol = solve_mckp(seeded_table(3, seed=1), 10 ** 9)
+        assert (sol.nodes, sol.bounds) == (0, 0)
+
+    def test_brute_force_reports_no_search(self):
+        sol = brute_force_mckp(make_table([[1.0, 2.0]]), 10 ** 9)
+        assert sol.nodes is None and sol.bounds is None
+
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=5),
+        c=st.integers(min_value=1, max_value=len(TIED_COST_CONFIGS)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_assignment_matches_reference(self, data, n, c):
+        # errors come from a small pool, so exact ties are common, and
+        # spread over twelve decades
+        magnitudes = st.one_of(
+            st.floats(min_value=1e-6, max_value=1e6),
+            st.floats(min_value=-6, max_value=6).map(lambda p: 10.0 ** p),
+        )
+        pool = data.draw(st.lists(magnitudes, min_size=1, max_size=n * c))
+        errors = np.array([[data.draw(st.sampled_from(pool)) for _ in range(c)]
+                           for _ in range(n)])
+        configs = data.draw(st.permutations(TIED_COST_CONFIGS))[:c]
+        sizes = [data.draw(st.integers(min_value=1, max_value=100)) for _ in range(n)]
+        table = make_table(errors, sizes=sizes, configs=configs)
+        lo = sum(min(row) for row in table.storage_bits)
+        hi = sum(max(row) for row in table.storage_bits)
+        budget = lo + (hi - lo) * data.draw(st.fractions(min_value=0, max_value=Fraction(6, 5)))
+        assert solve_mckp(table, budget).assignment == reference_solve_mckp(table, budget)
+
+
 class TestBruteForce:
     def test_guard(self):
         table = make_table(np.zeros((30, 6)))
@@ -228,6 +419,19 @@ class TestJsonRoundTrips:
         assert back.total_storage_bits == sol.total_storage_bits
         assert back.budget_bits == sol.budget_bits
         assert back.optimal
+
+    def test_alloc_solution_search_stats(self):
+        sol = AllocSolution(assignment=[1], total_error=0.5,
+                            total_storage_bits=Fraction(3), budget_bits=Fraction(4),
+                            optimal=True, nodes=12, bounds=40)
+        back = AllocSolution.from_json(sol.to_json())
+        assert (back.nodes, back.bounds) == (12, 40)
+        # files written before the search reported its work still load
+        payload = sol.to_json()
+        del payload["nodes"], payload["bounds"]
+        old = AllocSolution.from_json(payload)
+        assert old.nodes is None and old.bounds is None
+        assert old.assignment == [1]
 
     def test_reloaded_table_keeps_budget_exact(self):
         # B0=48, B1=3 give costs (4075/6, 5875/6) that no float holds; a

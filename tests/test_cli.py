@@ -397,7 +397,15 @@ class TestAllocate:
             sol_path = tmp_path / f"{name}.json"
             assert cli.main(["allocate", str(table), "-o", str(sol_path),
                              "--budget-bits-per-param", "2.5", *extra]) == 0
-            errors[name] = json.loads(sol_path.read_text())["total_error"]
+            payload = json.loads(sol_path.read_text())
+            errors[name] = payload["total_error"]
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert manifest["nodes"] == payload["nodes"]
+            assert manifest["bounds"] == payload["bounds"]
+            if extra:
+                assert payload["nodes"] is payload["bounds"] is None
+            else:
+                assert payload["nodes"] >= 0 and payload["bounds"] >= 0
         assert errors["plain"] == errors["brute"]
 
 
@@ -418,6 +426,8 @@ class TestInit:
         solution = json.loads((out_dir / "solution.json").read_text())
         assert len(solution["assignment"]) == 2
         assert manifest["bits_per_param"] <= 3.0 + 1e-12
+        assert manifest["nodes"] == solution["nodes"] >= 0
+        assert manifest["bounds"] == solution["bounds"] >= 0
 
         for i, entry in enumerate(manifest["matrices"]):
             q = read_quantized(out_dir / f"matrix_{i:03d}.lqq")

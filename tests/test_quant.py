@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqdec.alloc import default_grid
 from lqdec.codebook import SUPPORTED_BITS, build_codebook
 from lqdec.errors import FormatError
 from lqdec.packing import pack_bits
@@ -25,6 +26,7 @@ from lqdec.quant import (
     read_quantized,
     rtn_quantize_unsigned,
     storage_bits_per_param,
+    storage_bits_ratio,
     write_quantized,
 )
 from lqdec.tensor_io import gen_matrix
@@ -66,6 +68,13 @@ class TestQuantConfig:
     ])
     def test_storage_bits_exact(self, cfg, expected):
         assert storage_bits_per_param(QuantConfig(*cfg)) == expected
+
+    def test_storage_bits_ratio_is_the_sum_in_lowest_terms(self):
+        for cfg in default_grid().configs + (QuantConfig(3, 4, "bf16", 48, 3),):
+            num, den = storage_bits_ratio(cfg)
+            width = {"fp32": 32, "fp16": 16, "bf16": 16}[cfg.b2]
+            want = cfg.b0 + Fraction(cfg.b1, cfg.B0) + Fraction(width, cfg.B0 * cfg.B1)
+            assert (num, den) == (want.numerator, want.denominator)
 
     def test_storage_bits_floats(self):
         assert float(storage_bits_per_param(CFG)) == 4.126953125
