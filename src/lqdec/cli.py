@@ -41,7 +41,6 @@ from .quant import (
     QuantConfig,
     dequantize,
     exact_container_bytes,
-    matmul_dequant,
     quantize_nf,
     read_quantized,
     storage_bits_per_param,
@@ -380,41 +379,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = QuantConfig.parse(args.config)
-    w = gen_matrix("decaying-spectrum", args.rows, args.cols, seed=args.seed)
-    x = gen_matrix("gaussian", 16, args.rows, seed=args.seed + 1)
-
-    start = time.perf_counter()
-    q = quantize_nf(w, cfg)
-    t_quant = time.perf_counter() - start
-
-    start = time.perf_counter()
-    dq = dequantize(q)
-    t_dequant = time.perf_counter() - start
-
-    res = lq_decompose(w, None, cfg, args.rank, seed=args.seed)
-    factors = res.factors
-
-    start = time.perf_counter()
-    y = matmul_dequant(x, res.q, factors)
-    t_matmul = time.perf_counter() - start
-
-    start = time.perf_counter()
-    dense = dequantize(res.q) + factors.l1 @ factors.l2
-    y_ref = x @ dense
-    t_dense = time.perf_counter() - start
-
-    rel = float(np.linalg.norm(y - y_ref) / max(np.linalg.norm(y_ref), 1e-30))
-    print(f"bench rows={args.rows} cols={args.cols} config={cfg.label()} rank={args.rank}")
-    print(f"quantize_seconds={t_quant:.4f}")
-    print(f"dequantize_seconds={t_dequant:.4f}")
-    print(f"matmul_dequant_seconds={t_matmul:.4f}")
-    print(f"dense_matmul_seconds={t_dense:.4f}")
-    print(f"matmul_consistency_rel_err={rel:.3e}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -514,14 +478,6 @@ def build_parser() -> _Parser:
     rp.add_argument("--lora-bits", type=_fraction, default=None,
                     help="override bits per adapter param")
     rp.set_defaults(func=cmd_report)
-
-    bn = sub.add_parser("bench", help="time quantize, dequantize, and matmul")
-    bn.add_argument("--rows", type=int, default=512)
-    bn.add_argument("--cols", type=int, default=512)
-    bn.add_argument("--config", default="4,8,fp32,64,256")
-    bn.add_argument("--rank", type=int, default=16)
-    bn.add_argument("--seed", type=int, default=0)
-    bn.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -1,9 +1,11 @@
 """Iterative split of a matrix into a quantized part plus low-rank factors.
 
 Alternates two projections: factorize the residual W - dequantize(Q),
-then re-quantize W - L1 L2.  Neither step is a joint optimum, so the
-objective can start climbing; iteration stops on the first increase and
-the best iterate seen is returned, not the last one.
+then re-quantize W - L1 L2.  From the second iteration on, the previous
+factors' L2 warm-starts the randomized range finder.  Neither step is a
+joint optimum, so the objective can start climbing; iteration stops on
+the first increase and the best iterate seen is returned, not the last
+one.
 """
 
 from __future__ import annotations
@@ -77,10 +79,11 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
     best = None
     prev = np.inf
     reason = REASON_MAX_ITERS
+    fac = None
     for t in range(1, max_iters + 1):
         # the residual is a temporary, freed before the next quantization
         fac = factorize(w64 if deq is None else w64 - deq, f, rank, method=method,
-                        seed=derive_seed(seed, t))
+                        seed=derive_seed(seed, t), start=None if fac is None else fac.l2)
         fac = LowRankFactors(
             l1=np.ascontiguousarray(fac.l1, dtype=np.float32),
             l2=np.ascontiguousarray(fac.l2, dtype=np.float32),

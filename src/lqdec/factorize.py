@@ -17,9 +17,13 @@ SVD_METHODS = ("exact", "randomized")
 
 # Defaults of the sketching method: Gaussian test matrix with a fixed
 # oversampling margin and two power iterations, re-orthonormalized
-# between passes to keep the basis well conditioned.
+# between passes to keep the basis well conditioned.  A warm call, given
+# the previous factors' L2, tests with its rows plus OVERSAMPLE Gaussian
+# columns and takes no power steps: in the alternating loop each outer
+# iteration already acts as one.
 OVERSAMPLE = 8
 POWER_ITERS = 2
+WARM_POWER_ITERS = 0
 
 
 @dataclass(frozen=True)
@@ -51,11 +55,24 @@ def _split(u, s, vt) -> LowRankFactors:
     return LowRankFactors(l1=u * root, l2=root[:, None] * vt)
 
 
-def svd_truncated(a, rank: int, method: str = "exact", seed: int = 0) -> LowRankFactors:
+def _as_start(start, rank: int, k: int):
+    """A warm-start L2 as float64, checked to be rank x k."""
+    if start is None:
+        return None
+    start = np.asarray(start, dtype=np.float64)
+    if start.shape != (rank, k):
+        raise ValueError(f"start shape {start.shape} does not match {(rank, k)}")
+    return start
+
+
+def svd_truncated(a, rank: int, method: str = "exact", seed: int = 0,
+                  start=None) -> LowRankFactors:
     """Best (or sketched) rank-`rank` factorization of a dense matrix.
 
     The singular spectrum is split evenly: L1 = U sqrt(S), L2 = sqrt(S) V^T,
-    so both factors carry the same Frobenius norm.
+    so both factors carry the same Frobenius norm.  `start`, a rank x k
+    L2 of a nearby matrix, warm-starts the randomized range finder; the
+    exact method checks its shape but does not use it.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -63,15 +80,20 @@ def svd_truncated(a, rank: int, method: str = "exact", seed: int = 0) -> LowRank
     d, k = a.shape
     if not 1 <= rank <= min(d, k):
         raise ValueError(f"rank must lie in [1, {min(d, k)}], got {rank}")
+    start = _as_start(start, rank, k)
     if method == "exact":
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         return _split(u[:, :rank], s[:rank], vt[:rank])
     if method == "randomized":
         rng = np.random.default_rng(seed)
         sketch = min(min(d, k), rank + OVERSAMPLE)
-        omega = rng.standard_normal((k, sketch))
+        if start is None:
+            omega, power = rng.standard_normal((k, sketch)), POWER_ITERS
+        else:
+            omega = np.hstack([start.T, rng.standard_normal((k, sketch - rank))])
+            power = WARM_POWER_ITERS
         q, _ = np.linalg.qr(a @ omega)
-        for _ in range(POWER_ITERS):
+        for _ in range(power):
             z, _ = np.linalg.qr(a.T @ q)
             q, _ = np.linalg.qr(a @ z)
         b = q.T @ a
@@ -112,17 +134,23 @@ def fisher_scalers(f) -> WeightScalers:
     return WeightScalers(d_row=row, d_col=col)
 
 
-def factorize(a, f=None, rank: int = 1, method: str = "exact", seed: int = 0) -> LowRankFactors:
-    """Rank-`rank` factorization, importance-weighted when `f` is given."""
+def factorize(a, f=None, rank: int = 1, method: str = "exact", seed: int = 0,
+              start=None) -> LowRankFactors:
+    """Rank-`rank` factorization, importance-weighted when `f` is given.
+
+    `start` is an L2 in the same (unscaled) coordinates as the result.
+    """
     a = np.asarray(a, dtype=np.float64)
     if f is None:
-        return svd_truncated(a, rank, method=method, seed=seed)
+        return svd_truncated(a, rank, method=method, seed=seed, start=start)
     f = np.asarray(f, dtype=np.float64)
     if f.shape != a.shape:
         raise ValueError(f"importance shape {f.shape} does not match matrix shape {a.shape}")
     scalers = fisher_scalers(f)
     scaled = scalers.d_row[:, None] * a * scalers.d_col[None, :]
-    fac = svd_truncated(scaled, rank, method=method, seed=seed)
+    if start is not None:
+        start = _as_start(start, rank, a.shape[1]) * scalers.d_col[None, :]
+    fac = svd_truncated(scaled, rank, method=method, seed=seed, start=start)
     return LowRankFactors(
         l1=fac.l1 / scalers.d_row[:, None],
         l2=fac.l2 / scalers.d_col[None, :],

@@ -41,10 +41,11 @@ def reference_decompose(w, f, cfg, rank, max_iters, seed, method, init):
     w64 = w32.astype(np.float64)
     reference = weighted_error(w32, None, None, f)
     q = quantize_nf(w32, cfg) if init == "quantize" else None
-    trace, best, prev, reason = [], None, np.inf, REASON_MAX_ITERS
+    trace, best, prev, reason, fac = [], None, np.inf, REASON_MAX_ITERS, None
     for t in range(1, max_iters + 1):
         resid = w64 if q is None else w64 - dequantize(q).astype(np.float64)
-        fac = factorize(resid, f, rank, method=method, seed=derive_seed(seed, t))
+        fac = factorize(resid, f, rank, method=method, seed=derive_seed(seed, t),
+                        start=None if fac is None else fac.l2)
         fac = LowRankFactors(
             l1=np.ascontiguousarray(fac.l1, dtype=np.float32),
             l2=np.ascontiguousarray(fac.l2, dtype=np.float32),
@@ -86,6 +87,44 @@ class TestMatchesReferenceLoop:
         assert res.q.group_scales.tobytes() == q.group_scales.tobytes()
         assert res.factors.l1.tobytes() == fac.l1.tobytes()
         assert res.factors.l2.tobytes() == fac.l2.tobytes()
+
+
+def degenerate_matrix(kind):
+    if kind == "zero":
+        return np.zeros((64, 48), dtype=np.float32)
+    if kind == "rank-1":
+        return gen_matrix("low-rank", 64, 48, seed=1, rank=1)
+    if kind == "half-zero-rows":
+        w = gen_matrix("gaussian", 64, 48, seed=2)
+        w[32:] = 0.0
+        return w
+    return gen_matrix("gaussian", 64, 48, seed=3) * np.float32(1e-30)
+
+
+class TestDegenerateWarmStart:
+    """Iterations after the first start the sketch from the previous L2."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kind", ["zero", "rank-1", "half-zero-rows", "1e-30"])
+    def test_sound_on_degenerate_matrix(self, kind, weighted):
+        w = degenerate_matrix(kind)
+        f = gen_fisher("separable", 64, 48, seed=4) if weighted else None
+        cfg = QuantConfig(3, 4, "fp32", 16, 8)
+        # init="quantize" keeps the rank-1 input from stopping at iteration 1
+        res = lq_decompose(w, f, cfg, rank=4, seed=0, init="quantize")
+        if kind != "zero":
+            assert len(res.error_trace) > 1
+        assert np.all(np.isfinite(res.factors.l1)) and np.all(np.isfinite(res.factors.l2))
+        assert res.error <= weighted_error(w, dequantize(quantize_nf(w, cfg)), None, f)
+        assert res.error == weighted_error(w, dequantize(res.q), res.factors, f)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_zero_start_on_zero_matrix(self, weighted):
+        # the loop stops on a zero matrix before any warm call
+        f = gen_fisher("separable", 64, 48, seed=4) if weighted else None
+        fac = factorize(np.zeros((64, 48)), f, 4, method="randomized", start=np.zeros((4, 48)))
+        assert np.all(np.isfinite(fac.l1)) and np.all(np.isfinite(fac.l2))
+        assert not np.any(fac.product())
 
 
 class TestLqDecompose:

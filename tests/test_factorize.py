@@ -12,7 +12,7 @@ from lqdec.factorize import (
     svd_truncated,
     weighted_error,
 )
-from lqdec.tensor_io import gen_matrix
+from lqdec.tensor_io import gen_fisher, gen_matrix
 
 
 def separable_oracle(a, row_w, col_w, rank):
@@ -82,6 +82,56 @@ class TestSvdTruncated:
             ee = np.linalg.norm(w - factorize(w, rank=rank, method="exact").product())
             er = np.linalg.norm(w - factorize(w, rank=rank, method="randomized", seed=0).product())
             assert er <= 1.05 * ee
+
+
+def gapped_matrix(rows, cols, rank, seed):
+    """Top `rank` singular values 10..5, the rest 0.5 down to 0.05."""
+    rng = np.random.default_rng(seed)
+    m = min(rows, cols)
+    qu, _ = np.linalg.qr(rng.standard_normal((rows, m)))
+    qv, _ = np.linalg.qr(rng.standard_normal((cols, m)))
+    sv = np.concatenate([np.linspace(10.0, 5.0, rank), np.linspace(0.5, 0.05, m - rank)])
+    return (qu * sv) @ qv.T
+
+
+class TestWarmStart:
+    RANK = 6
+
+    def rel_gap(self, got, want):
+        return np.linalg.norm(got.product() - want.product()) / np.linalg.norm(want.product())
+
+    def test_exact_subspace_start_recovers_truncation(self):
+        a = gapped_matrix(80, 64, self.RANK, seed=0)
+        exact = factorize(a, rank=self.RANK, method="exact")
+        _, _, vt = np.linalg.svd(a)
+        warm = factorize(a, rank=self.RANK, method="randomized", seed=1, start=vt[:self.RANK])
+        assert self.rel_gap(warm, exact) <= 1e-8
+
+    def test_weighted_start_is_mapped_to_scaled_coordinates(self):
+        a = gapped_matrix(80, 64, self.RANK, seed=2)
+        f = gen_fisher("separable", 80, 64, seed=2)
+        f *= np.random.default_rng(2).uniform(0.05, 20.0, 64)[None, :]
+        exact = factorize(a, f, rank=self.RANK, method="exact")
+        warm = factorize(a, f, rank=self.RANK, method="randomized", seed=3, start=exact.l2)
+        assert self.rel_gap(warm, exact) <= 1e-8
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_exact_method_ignores_start(self, weighted):
+        a = gapped_matrix(40, 32, self.RANK, seed=4)
+        f = gen_fisher("separable", 40, 32, seed=4) if weighted else None
+        start = np.random.default_rng(4).standard_normal((self.RANK, 32))
+        cold = factorize(a, f, rank=self.RANK, method="exact")
+        warm = factorize(a, f, rank=self.RANK, method="exact", start=start)
+        assert cold.l1.tobytes() == warm.l1.tobytes()
+        assert cold.l2.tobytes() == warm.l2.tobytes()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("shape", [(5, 32), (6, 31), (32, 6), (6, 1), (32,)])
+    def test_rejects_wrong_start_shape(self, shape, weighted):
+        a = gapped_matrix(40, 32, self.RANK, seed=5)
+        f = gen_fisher("separable", 40, 32, seed=5) if weighted else None
+        with pytest.raises(ValueError):
+            factorize(a, f, rank=self.RANK, method="randomized", start=np.ones(shape))
 
 
 class TestFisherScalers:
