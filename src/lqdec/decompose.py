@@ -69,32 +69,40 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
     if not np.all(np.isfinite(w32)):
         raise ValueError("matrix entries must be finite")
     w64 = w32.astype(np.float64)
+    if f is not None:
+        # converted once: every factorization and error reads it as float64
+        f = np.asarray(f, dtype=np.float64)
 
     reference = weighted_error(w64, None, None, f)
+    # r is the residual W - dequantize(Q) the next factorization splits.
     # Only the dequantized values drive the loop; the packed container is
     # built once, for the best iterate, after the loop.
-    deq = dequantize(quantize_nf(w32, cfg)) if init == "quantize" else None
+    r = w64 - dequantize(quantize_nf(w32, cfg)) if init == "quantize" else w64
 
     trace: list[float] = []
     best = None
     prev = np.inf
     reason = REASON_MAX_ITERS
     fac = None
+    spare = np.empty_like(w32)
     for t in range(1, max_iters + 1):
-        # the residual is a temporary, freed before the next quantization
-        fac = factorize(w64 if deq is None else w64 - deq, f, rank, method=method,
-                        seed=derive_seed(seed, t), start=None if fac is None else fac.l2)
+        fac = factorize(r, f, rank, method=method, seed=derive_seed(seed, t),
+                        start=None if fac is None else fac.l2)
         fac = LowRankFactors(
             l1=np.ascontiguousarray(fac.l1, dtype=np.float32),
             l2=np.ascontiguousarray(fac.l2, dtype=np.float32),
         )
         prod = fac.product()
-        target = (w64 - prod).astype(np.float32)
-        deq = quantize_values(target, cfg)
-        eps = weighted_error(w64 - deq - prod, None, None, f)
+        # the float64 difference, rounded once to float32
+        target = np.subtract(w64, prod, out=spare)
+        r = w64 - quantize_values(target, cfg)
+        # (W - deq) - prod, in that order, into prod's buffer
+        eps = weighted_error(np.subtract(r, prod, out=prod), None, None, f)
         del prod  # freed before the next factorization
         trace.append(eps)
         if best is None or eps < best[0]:
+            # the displaced best's buffer takes the next target
+            spare = np.empty_like(w32) if best is None else best[1]
             best = (eps, target, fac)
         if eps <= ZERO_ERROR_RTOL * reference:
             reason = REASON_ZERO

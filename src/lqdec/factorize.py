@@ -16,14 +16,16 @@ import numpy as np
 SVD_METHODS = ("exact", "randomized")
 
 # Defaults of the sketching method: Gaussian test matrix with a fixed
-# oversampling margin and two power iterations, re-orthonormalized
-# between passes to keep the basis well conditioned.  A warm call, given
-# the previous factors' L2, tests with its rows plus OVERSAMPLE Gaussian
-# columns and takes no power steps: in the alternating loop each outer
-# iteration already acts as one.
+# oversampling margin and two power iterations, each normalized by a
+# Householder QR.  A warm call, given the previous factors' L2, tests
+# with its rows plus OVERSAMPLE Gaussian columns and takes no power
+# steps: in the alternating loop each outer iteration already acts as
+# one.
 OVERSAMPLE = 8
 POWER_ITERS = 2
 WARM_POWER_ITERS = 0
+
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,33 @@ def _as_start(start, rank: int, k: int):
     return start
 
 
+def _rayleigh_ritz(a, y, rank: int) -> LowRankFactors:
+    """Best rank-`rank` factors of `a` projected onto the range of the sketch `y`.
+
+    The basis is the shifted Cholesky-QR of y (Fukaya et al., SIAM J.
+    Sci. Comput. 2020), Q = y C^-T with C C^T = y^T y + delta I, and the
+    Ritz step (Halko, Martinsson & Tropp, arXiv:0909.4061 section 5)
+    takes the top eigenpairs of B B^T for B = Q^T a.  Only small
+    sketch-sized dense problems are solved; the shift keeps a
+    rank-deficient or all-zero sketch factorizable and drops the
+    directions it cannot resolve.
+    """
+    # scaled to unit size so that neither Gram matrix can overflow
+    y = y / max(np.abs(y).max(), _TINY)
+    g = y.T @ y
+    c = np.linalg.cholesky(g + (1e-13 * np.trace(g) + _TINY) * np.eye(g.shape[0]))
+    c_inv = np.linalg.inv(c)
+    b = c_inv @ (y.T @ a)
+    b_max = max(np.abs(b).max(), _TINY)
+    unit = b / b_max
+    lam, u = np.linalg.eigh(unit @ unit.T)
+    u = u[:, ::-1][:, :rank]
+    root = np.sqrt(np.sqrt(np.maximum(lam[::-1][:rank], 0.0)) * b_max)
+    # a direction with a zero singular value gets zero factors
+    inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
+    return LowRankFactors(l1=y @ (c_inv.T @ (u * root)), l2=(u * inv_root).T @ b)
+
+
 def svd_truncated(a, rank: int, method: str = "exact", seed: int = 0,
                   start=None) -> LowRankFactors:
     """Best (or sketched) rank-`rank` factorization of a dense matrix.
@@ -92,13 +121,22 @@ def svd_truncated(a, rank: int, method: str = "exact", seed: int = 0,
         else:
             omega = np.hstack([start.T, rng.standard_normal((k, sketch - rank))])
             power = WARM_POWER_ITERS
-        q, _ = np.linalg.qr(a @ omega)
+        # Unit test columns: a warm start's rows scale like sqrt(s) of a
+        # nearby matrix, the Gaussian columns do not, and a column of y
+        # that falls under the shift should be one a hardly acts on, not
+        # one of small scale.
+        omega = omega / max(np.abs(omega).max(), _TINY)
+        norms = np.linalg.norm(omega, axis=0)
+        y = a @ (omega / np.where(norms > 0, norms, 1.0))
+        # Power steps keep Householder QR: unnormalized, they would leave
+        # y with a condition number near (s_1 / s_sketch)^(2 power + 1),
+        # which a Gram matrix cannot carry.  The last product a @ z, of an
+        # orthonormal z, is conditioned like a itself on the sketched range.
         for _ in range(power):
+            q, _ = np.linalg.qr(y)
             z, _ = np.linalg.qr(a.T @ q)
-            q, _ = np.linalg.qr(a @ z)
-        b = q.T @ a
-        ub, s, vt = np.linalg.svd(b, full_matrices=False)
-        return _split(q @ ub[:, :rank], s[:rank], vt[:rank])
+            y = a @ z
+        return _rayleigh_ritz(a, y, rank)
     raise ValueError(f"unknown method {method!r}, expected one of {SVD_METHODS}")
 
 
@@ -147,7 +185,8 @@ def factorize(a, f=None, rank: int = 1, method: str = "exact", seed: int = 0,
     if f.shape != a.shape:
         raise ValueError(f"importance shape {f.shape} does not match matrix shape {a.shape}")
     scalers = fisher_scalers(f)
-    scaled = scalers.d_row[:, None] * a * scalers.d_col[None, :]
+    scaled = scalers.d_row[:, None] * a
+    scaled *= scalers.d_col
     if start is not None:
         start = _as_start(start, rank, a.shape[1]) * scalers.d_col[None, :]
     fac = svd_truncated(scaled, rank, method=method, seed=seed, start=start)
@@ -182,5 +221,6 @@ def weighted_error(w, q_dequant=None, factors=None, f=None) -> float:
             raise ValueError(f"importance shape {f.shape} does not match {acc.shape}")
         if np.any(f < 0):
             raise ValueError("importance weights must be nonnegative")
-        acc = acc * np.sqrt(f)
+        root = np.sqrt(f)
+        acc = np.multiply(root, acc, out=root)
     return float(np.linalg.norm(acc))

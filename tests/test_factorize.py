@@ -134,6 +134,58 @@ class TestWarmStart:
             factorize(a, f, rank=self.RANK, method="randomized", start=np.ones(shape))
 
 
+def robustness_case(kind):
+    """(matrix, rank) for the range finder's degenerate inputs."""
+    rng = np.random.default_rng(11)
+    if kind == "zero":
+        return np.zeros((40, 32)), 4
+    if kind == "rank-1":
+        return np.outer(rng.standard_normal(40), rng.standard_normal(32)), 4
+    # rank + OVERSAMPLE exceeds min(d, k) = 6: the sketch is clamped
+    return rng.standard_normal((6, 32)), 4
+
+
+class TestRangeFinderRobustness:
+    """The randomized path on degenerate and extreme-scale inputs."""
+
+    def run(self, a, f, rank, warm):
+        start = None
+        if warm:
+            start = factorize(a, f, rank, method="randomized", seed=1).l2
+        return factorize(a, f, rank, method="randomized", seed=2, start=start)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e200])
+    @pytest.mark.parametrize("kind", ["zero", "rank-1", "clamped-sketch"])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_finite_and_scale_equivariant(self, weighted, warm, kind, scale):
+        a, rank = robustness_case(kind)
+        f = gen_fisher("separable", *a.shape, seed=3) if weighted else None
+        base = self.run(a, f, rank, warm)
+        fac = self.run(scale * a, f, rank, warm)
+        for got in (base, fac):
+            assert np.all(np.isfinite(got.l1)) and np.all(np.isfinite(got.l2))
+        # compared in units of the input scale, so that 1e200 squared
+        # does not overflow the norms
+        got = fac.product() / scale
+        want = base.product()
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        if kind == "zero":
+            assert not np.any(fac.l1) and not np.any(fac.l2)
+        else:
+            # a rank-1 matrix and a sketch of the whole row space are
+            # recovered exactly, up to the shift and roundoff
+            exact = factorize(a, f, rank, method="exact").product()
+            assert np.linalg.norm(want - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("rank", [1, 5, 12])
+    def test_randomized_factor_norms_balanced(self, rank, warm):
+        a = np.random.default_rng(rank).standard_normal((48, 36))
+        fac = self.run(a, None, rank, warm)
+        assert np.linalg.norm(fac.l1) == pytest.approx(np.linalg.norm(fac.l2), rel=1e-5)
+
+
 class TestFisherScalers:
     def test_means_of_sqrt(self):
         f = np.array([[4.0, 16.0], [64.0, 4.0]])
