@@ -1,0 +1,88 @@
+"""Time the exact allocator on synthetic model-scale sweep tables.
+
+The tables stand in for a sweep of the first N linear layers of the
+`llama2-7b-linear` preset over the default 243-config grid.  Error
+(i, c) is the quantize-only relative squared error of one seeded 128x128
+gaussian matrix under config c, times the size of matrix i, a lognormal
+per-matrix scale and 2% lognormal per-config noise, all drawn from
+`--seed`, so the same arguments always build the same table.  Each budget
+is solved once and printed as one JSON line: the time, the search's
+nodes and LP bounds, the root LP bound and the process's peak RSS so far.
+
+Example:
+    python3 scripts/solver_scale.py --matrices 224 --budgets 2.5,2.75,3.0,3.25
+"""
+
+import argparse
+import json
+import resource
+import time
+from fractions import Fraction
+
+import numpy as np
+
+from lqdec import (
+    SweepTable,
+    default_grid,
+    dequantize,
+    gen_matrix,
+    model_preset,
+    quantize_nf,
+    solve_mckp,
+)
+
+PRESET = "llama2-7b-linear"
+PROBE_SIDE = 128
+
+
+def parse_args():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--matrices", type=int, default=28,
+                        help=f"how many of the {PRESET} shapes to allocate over")
+    parser.add_argument("--budgets", default="2.5,2.75,3.0,3.25",
+                        help="comma list of bits-per-param budgets")
+    parser.add_argument("--seed", type=int, default=0)
+    return parser.parse_args()
+
+
+def synthetic_table(n, seed):
+    shapes = model_preset(PRESET).shapes()
+    if not 1 <= n <= len(shapes):
+        raise SystemExit(f"--matrices must be in 1..{len(shapes)}, got {n}")
+    configs = list(default_grid().configs)
+    probe = gen_matrix("gaussian", PROBE_SIDE, PROBE_SIDE, seed=seed).astype(np.float64)
+    norm_sq = float(np.sum(probe ** 2))
+    rel = np.array([np.sum((probe - dequantize(quantize_nf(probe, cfg))) ** 2) / norm_sq
+                    for cfg in configs])
+    rng = np.random.default_rng(seed)
+    sizes = [rows * cols for rows, cols in shapes[:n]]
+    scale = np.array(sizes, dtype=np.float64)[:, None] * rng.lognormal(0.0, 1.0, (n, 1))
+    errors = rel[None, :] * scale * rng.lognormal(0.0, 0.02, (n, len(configs)))
+    return SweepTable(sizes=sizes, configs=configs, errors=errors,
+                      fisher_weighted=False, rank=0, seed=seed)
+
+
+def main():
+    args = parse_args()
+    table = synthetic_table(args.matrices, args.seed)
+    params = sum(table.sizes)
+    for text in args.budgets.split(","):
+        bits = Fraction(text.strip())
+        start = time.perf_counter()
+        sol = solve_mckp(table, bits * params)
+        seconds = time.perf_counter() - start
+        print(json.dumps({
+            "matrices": args.matrices,
+            "budget_bits_per_param": str(bits),
+            "seed": args.seed,
+            "seconds": round(seconds, 3),
+            "nodes": sol.nodes,
+            "bounds": sol.bounds,
+            "total_error": sol.total_error,
+            "lp_bound": sol.lp_bound,
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        }), flush=True)
+
+
+if __name__ == "__main__":
+    main()

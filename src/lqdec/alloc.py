@@ -8,6 +8,14 @@ lower bound at each node is the classic LP relaxation: every remaining
 class sits at its cheapest config and budget is spent on convex-hull
 upgrade increments in order of error reduction per bit.
 
+A matrix's storage cost is its size times a per-config cost, so one sort
+of the configs orders every class, and dominance is one numpy pass over
+the float table; only the surviving cells become ints.  Before branching,
+a root Lagrangian reduction drops every candidate whose bound, with the
+multiplier of the root LP, already reaches the greedy incumbent: the
+search would prune it at every node, so the nodes stay the same and only
+the bounds evaluated fall.
+
 The search is exact in integers from start to finish: storage costs are
 scaled by the common denominator of the grid, and errors by the common
 power-of-two denominator of the float table.  Sums, dominance, hulls,
@@ -96,7 +104,7 @@ class SweepTable:
     def storage_bits(self) -> list:
         """Exact rational bit costs: storage_bits[i][c] = sizes[i] * bits(c)."""
         costs, denom = _storage_costs(self)
-        return [[Fraction(v, denom) for v in row] for row in costs]
+        return [[Fraction(int(size) * k, denom) for k in costs] for size in self.sizes]
 
     def to_json(self) -> dict:
         return {
@@ -119,6 +127,8 @@ class SweepTable:
             if not sizes or not all(type(s) is int and s > 0 for s in sizes):
                 raise FormatError(f"sweep table sizes must be positive integers, got {sizes!r}")
             configs = [QuantConfig(b0, b1, b2, bs0, bs1) for b0, b1, b2, bs0, bs1 in payload["configs"]]
+            if not configs:
+                raise FormatError("sweep table has no configs")
             rows = payload["errors"]
             if len(rows) != len(sizes) or any(len(row) != len(configs) for row in rows):
                 raise FormatError(f"sweep table errors must be a {len(sizes)}x{len(configs)} matrix")
@@ -143,23 +153,25 @@ class SweepTable:
 def _storage_costs(table: SweepTable):
     """The one derivation of storage costs from sizes and configs.
 
-    Returns (costs, denom): integer costs[i][c] equal to
-    sizes[i] * storage_bits_per_param(configs[c]) * denom, with denom the
-    lcm of the per-config denominators.  An integer total fits a budget
-    exactly when it is <= floor(budget * denom).
+    Returns (costs, denom): integer per-parameter costs[c] equal to
+    storage_bits_per_param(configs[c]) * denom, with denom the lcm of the
+    per-config denominators.  Matrix i under config c costs
+    sizes[i] * costs[c]; an integer total of those fits a budget exactly
+    when it is <= floor(budget * denom).
     """
     per_param = [storage_bits_ratio(cfg) for cfg in table.configs]
     denom = math.lcm(*(den for _, den in per_param))
-    scaled = [num * (denom // den) for num, den in per_param]
-    return [[int(size) * k for k in scaled] for size in table.sizes], denom
+    return [num * (denom // den) for num, den in per_param], denom
 
 
 @dataclass
 class AllocSolution:
     """One config index per matrix plus exact totals.
 
-    `nodes` (search nodes visited) and `bounds` (LP bounds evaluated)
-    report the work of `solve_mckp`; they are None for other solvers.
+    `nodes` (search nodes visited), `bounds` (LP bounds evaluated) and
+    `lp_bound` (the root LP relaxation's error, a lower bound on
+    `total_error`) report the work of `solve_mckp`; they are None for
+    other solvers.
     """
 
     assignment: list
@@ -169,6 +181,7 @@ class AllocSolution:
     optimal: bool
     nodes: int = None
     bounds: int = None
+    lp_bound: float = None
 
     def to_json(self) -> dict:
         return {
@@ -179,6 +192,7 @@ class AllocSolution:
             "optimal": bool(self.optimal),
             "nodes": self.nodes,
             "bounds": self.bounds,
+            "lp_bound": self.lp_bound,
         }
 
     @classmethod
@@ -191,6 +205,7 @@ class AllocSolution:
             optimal=bool(payload["optimal"]),
             nodes=payload.get("nodes"),
             bounds=payload.get("bounds"),
+            lp_bound=payload.get("lp_bound"),
         )
 
 
@@ -291,44 +306,74 @@ def sweep(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
 # exact multiple-choice knapsack
 # ---------------------------------------------------------------------------
 
-def _capacity(table: SweepTable, budget_bits):
+def _scaled_budget(table: SweepTable, budget_bits):
     """The preamble both solvers share: validate, then scale the budget.
 
-    Returns (budget, costs, denom, cap) with the integer costs of
-    `_storage_costs`: a total of costs fits the exact budget when it is
-    <= cap.  Raises InfeasibleBudgetError if the cheapest config of every
-    matrix together does not fit.
+    Returns (budget, costs, denom, cap) with the per-parameter integer
+    costs of `_storage_costs`: a total of sizes[i] * costs[c] fits the
+    exact budget when it is <= cap.  Raises InfeasibleBudgetError if the
+    cheapest config of every matrix together does not fit.
     """
     n, c = table.errors.shape
     if n != len(table.sizes) or c != len(table.configs):
         raise ValueError("inconsistent sweep table dimensions")
+    if c == 0:
+        raise ValueError("sweep table has no configs to choose from")
     if np.isnan(table.errors).any():
         raise ValueError("sweep table has unswept cells")
     if not np.all(np.isfinite(table.errors)):
         raise ValueError("sweep table errors must be finite")
     budget = Fraction(budget_bits)
-    s_int, denom = _storage_costs(table)
+    costs, denom = _storage_costs(table)
     cap = math.floor(budget * denom)
-    min_storage = sum(min(row) for row in s_int)
+    min_storage = min(costs) * sum(int(size) for size in table.sizes)
     if min_storage > cap:
         raise InfeasibleBudgetError(budget, Fraction(min_storage, denom))
-    return budget, s_int, denom, cap
+    return budget, costs, denom, cap
+
+
+def _capacity(table: SweepTable, budget_bits):
+    """`_scaled_budget` with every cell's integer cost, s_int[i][c]."""
+    budget, costs, denom, cap = _scaled_budget(table, budget_bits)
+    return budget, [[int(size) * k for k in costs] for size in table.sizes], denom, cap
 
 
 def _integer_errors(errors):
-    """The table's errors as Python ints over one common power of two.
+    """Float errors as Python ints over one common power of two.
 
-    Returns (e_int, scale) with errors[i, c] == e_int[i][c] / scale
-    exactly: each finite float is a 53-bit integer mantissa times a power
-    of two, and scale is one over the smallest of those powers (at most
-    1).  Sums and comparisons of e_int never round or overflow.
+    Returns (e_int, scale), e_int a flat list with
+    errors.ravel()[k] == e_int[k] / scale exactly: each finite float is a
+    53-bit integer mantissa times a power of two, and scale is one over
+    the smallest of those powers (at most 1).  Sums and comparisons of
+    e_int never round or overflow.
     """
-    mant, exp = np.frexp(errors)
+    mant, exp = np.frexp(np.ravel(errors))
     exp -= 53  # errors == (mant * 2**53) * 2**exp, the factor an int
-    low = min(int(exp.min()), 0)
+    low = int(exp.min(initial=0))
     ints = (mant * 2.0 ** 53).astype(np.int64).tolist()
-    shifts = (exp - low).tolist()
-    return [[m << k for m, k in zip(m_row, k_row)] for m_row, k_row in zip(ints, shifts)], 1 << -low
+    return [m << k for m, k in zip(ints, (exp - low).tolist())], 1 << -low
+
+
+def _dominance(errors, costs):
+    """Each matrix's configs that strictly improve error, storage ascending.
+
+    Returns (picks, keep): picks[i, g] is matrix i's least-error config
+    (lowest index on ties) among the g-th group of equal per-parameter
+    cost, and keep[i, g] says whether it is strictly below the least error
+    of every cheaper group.  Costs are sizes[i] * costs[c], so one stable
+    sort of the configs orders every row.  Float order is the order of
+    the exact ints of `_integer_errors`, so the pass runs on the table.
+    """
+    c = len(costs)
+    perm = sorted(range(c), key=costs.__getitem__)
+    starts = [g for g in range(c) if g == 0 or costs[perm[g]] != costs[perm[g - 1]]]
+    e = errors[:, perm]
+    least = np.minimum.reduceat(e, starts, axis=1)
+    at_least = e == np.repeat(least, np.diff(starts + [c]), axis=1)
+    first = np.minimum.reduceat(np.where(at_least, np.arange(c), c), starts, axis=1)
+    keep = np.ones(least.shape, dtype=bool)
+    keep[:, 1:] = least[:, 1:] < np.minimum.accumulate(least, axis=1)[:, :-1]
+    return np.asarray(perm)[first], keep
 
 
 def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
@@ -338,35 +383,40 @@ def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
     ordered best-error-first, pruned against the LP-relaxation bound.
     All search arithmetic is on the ints of `_storage_costs` and
     `_integer_errors`, so every prune is exact.  The solution reports the
-    search nodes visited and the LP bounds evaluated.
+    search nodes visited, the LP bounds evaluated and the root LP bound.
     """
-    budget, s_int, denom, cap = _capacity(table, budget_bits)
-    e_int, scale = _integer_errors(table.errors)
-    n, c = table.errors.shape
+    budget, costs, denom, cap = _scaled_budget(table, budget_bits)
+    sizes = [int(size) for size in table.sizes]
+    n = len(sizes)
 
-    # Unconstrained fast path: every matrix takes its own best-error
-    # config (cheapest storage among exact error ties).
-    greedy_best = [min(zip(e_row, s_row, range(c)))[2] for e_row, s_row in zip(e_int, s_int)]
-    if sum(s_row[j] for s_row, j in zip(s_int, greedy_best)) <= cap:
-        return _finish_solution(greedy_best, budget, s_int, denom, e_int, scale,
-                                nodes=0, bounds=0)
+    picks, keep = _dominance(table.errors, costs)
+    counts = keep.sum(axis=1)
+    ends = np.cumsum(counts)
+    cols = picks[keep]  # every matrix's survivors, storage ascending
 
-    # Per-class candidate lists: (storage, error, orig_idx), storage
-    # ascending.  Dominance keeps only items that strictly improve error.
-    classes = []
-    for s_row, e_row in zip(s_int, e_int):
-        kept = []
-        for item in sorted(zip(s_row, e_row, range(c))):
-            if not kept or item[1] < kept[-1][1]:
-                kept.append(item)
-        classes.append(kept)
+    # Unconstrained fast path: every matrix takes its last survivor, its
+    # best-error config (cheapest storage among exact error ties).  The LP
+    # relaxation takes the same configs.
+    greedy_best = cols[ends - 1].tolist()
+    storage = sum(size * costs[j] for size, j in zip(sizes, greedy_best))
+    if storage <= cap:
+        solution = _finish_solution(table, greedy_best, budget, storage, denom, nodes=0, bounds=0)
+        solution.lp_bound = solution.total_error
+        return solution
 
     # Process classes with the widest error spread first.  The order only
     # steers the search; it stays the float spread of the table so that
     # tied optima resolve as they always have.
-    rows = table.errors.tolist()
-    order = sorted(range(n), key=lambda i: rows[i][classes[i][0][2]] - rows[i][classes[i][-1][2]],
-                   reverse=True)
+    mats = np.arange(n)
+    spread = table.errors[mats, cols[ends - counts]] - table.errors[mats, cols[ends - 1]]
+    order = sorted(range(n), key=spread.tolist().__getitem__, reverse=True)
+
+    # Per-class candidate lists: (storage, error, orig_idx), storage
+    # ascending; only these cells become ints.
+    e_int, scale = _integer_errors(table.errors[np.repeat(mats, counts), cols])
+    cols = cols.tolist()
+    classes = [[(size * costs[j], e, j) for j, e in zip(cols[lo:hi], e_int[lo:hi])]
+               for size, lo, hi in zip(sizes, (ends - counts).tolist(), ends.tolist())]
     classes = [classes[i] for i in order]
     hulls = [_class_hull(items) for items in classes]
     candidates = [sorted(items, key=lambda t: (t[1], t[0])) for items in classes]
@@ -392,6 +442,27 @@ def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
         prefix.append((ps, lp))
 
     best, incumbent = _greedy_incumbent(hulls, increments, cap)
+
+    # Root Lagrangian reduction (Sinha & Zoltners, Oper. Res. 1979).  With
+    # lam = de / ds of the increment where the root LP turns fractional
+    # (there is one: the best configs do not fit, or the fast path would
+    # have returned), low[d] = min over class d of ds*e + de*s and
+    # root = sum(low) - de*cap (ds times the root LP bound), every solution
+    # that gives class d the candidate (s, e) has error at least
+    #     (root + ds*e + de*s - low[d]) / ds.
+    # By weak duality that is at most each LP bound the search evaluates
+    # for the candidate, so one reaching the incumbent would be pruned at
+    # every node it is tried from: dropping it keeps the nodes visited and
+    # their order, and saves only their bounds.
+    room = cap - sum(hull[0][0] for hull in hulls)
+    for ds, de, _ in increments:
+        if ds > room:
+            break
+        room -= ds
+    low = [min(ds * e + de * s for s, e, _ in hull) for hull in hulls]
+    root = sum(low) - de * cap
+    candidates = [[t for t in items if ds * t[1] + de * t[0] < limit]
+                  for items, limit in zip(candidates, (ds * incumbent - root + lo for lo in low))]
 
     # Depth-first search with an explicit stack of candidate iterators;
     # spare[d] is the capacity left above the cheapest configs of classes
@@ -434,8 +505,9 @@ def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
     assignment = [0] * n
     for d, i in enumerate(order):
         assignment[i] = best[d]
-    return _finish_solution(assignment, budget, s_int, denom, e_int, scale,
-                            nodes=nodes, bounds=bounds)
+    storage = sum(size * costs[j] for size, j in zip(sizes, assignment))
+    return _finish_solution(table, assignment, budget, storage, denom,
+                            nodes=nodes, bounds=bounds, lp_bound=root / (ds * scale))
 
 
 def _class_hull(items):
@@ -503,19 +575,17 @@ def _greedy_incumbent(hulls, increments, cap):
     return [j for _, _, j in picks], sum(e for _, e, _ in picks)
 
 
-def _finish_solution(assignment, budget: Fraction, s_int, denom: int, e_int, scale: int,
-                     nodes=None, bounds=None) -> AllocSolution:
-    total_storage = sum(s_int[i][ci] for i, ci in enumerate(assignment))
-    total_error = sum(e_int[i][ci] for i, ci in enumerate(assignment))
+def _finish_solution(table: SweepTable, assignment, budget: Fraction, storage: int, denom: int,
+                     **search) -> AllocSolution:
+    e_int, scale = _integer_errors(table.errors[np.arange(len(assignment)), assignment])
     return AllocSolution(
         assignment=list(assignment),
-        # int / int rounds correctly, as float(Fraction(total_error, scale))
-        total_error=total_error / scale,
-        total_storage_bits=Fraction(total_storage, denom),
+        # int / int rounds correctly, as float(Fraction(sum(e_int), scale))
+        total_error=sum(e_int) / scale,
+        total_storage_bits=Fraction(storage, denom),
         budget_bits=budget,
         optimal=True,
-        nodes=nodes,
-        bounds=bounds,
+        **search,
     )
 
 
@@ -532,7 +602,8 @@ def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GU
     n, c = table.errors.shape
     if c ** n > guard:
         raise ValueError(f"instance size {c}**{n} exceeds the brute-force guard {guard}")
-    e_int, scale = _integer_errors(table.errors)
+    e_flat, _ = _integer_errors(table.errors)
+    e_int = [e_flat[i * c:(i + 1) * c] for i in range(n)]
 
     best_error = best_assign = None
     for combo in itertools.product(range(c), repeat=n):
@@ -542,7 +613,8 @@ def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GU
         error = sum(map(operator.getitem, e_int, combo))
         if best_assign is None or error < best_error:
             best_error, best_assign = error, list(combo)
-    return _finish_solution(best_assign, budget, s_int, denom, e_int, scale)
+    storage = sum(map(operator.getitem, s_int, best_assign))
+    return _finish_solution(table, best_assign, budget, storage, denom)
 
 
 # ---------------------------------------------------------------------------

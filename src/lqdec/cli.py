@@ -306,7 +306,8 @@ def cmd_allocate(args) -> int:
         "budget_bits_per_param": str(args.budget_bits_per_param),
         "brute_force": bool(args.brute_force),
     }, [args.table], [out], time.perf_counter() - start,
-                    {"nodes": solution.nodes, "bounds": solution.bounds})
+                    {"nodes": solution.nodes, "bounds": solution.bounds,
+                     "lp_bound": solution.lp_bound})
     used = float(solution.total_storage_bits / sum(table.sizes))
     print(f"total_error={solution.total_error:.6e} bits_per_param={used:.6f} "
           f"optimal={solution.optimal}")
@@ -352,6 +353,7 @@ def cmd_init(args) -> int:
         "bits_per_param": float(solution.total_storage_bits / sum(table.sizes)),
         "nodes": solution.nodes,
         "bounds": solution.bounds,
+        "lp_bound": solution.lp_bound,
     }, manifest=out_dir / "manifest.json")
     print(f"total_error={solution.total_error:.6e} optimal={solution.optimal}")
     return 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from lqdec.alloc import (
     AllocSolution,
@@ -23,7 +24,7 @@ from lqdec.alloc import (
     sweep,
 )
 from lqdec.decompose import derive_seed, lq_decompose
-from lqdec.errors import InfeasibleBudgetError
+from lqdec.errors import FormatError, InfeasibleBudgetError
 from lqdec.quant import QuantConfig, storage_bits_per_param
 from lqdec.tensor_io import gen_fisher, gen_matrix
 
@@ -296,6 +297,12 @@ class TestSolveMckp:
         with pytest.raises(ValueError):
             solve_mckp(table, 100)
 
+    def test_rejects_table_without_configs(self):
+        table = make_table(np.zeros((2, 0)), configs=[])
+        for solver in (solve_mckp, brute_force_mckp):
+            with pytest.raises(ValueError, match="no configs"):
+                solver(table, 100)
+
 
 def seeded_table(n, seed):
     """An n-matrix table over the default grid, errors falling with storage."""
@@ -358,6 +365,106 @@ class TestExactSearch:
         hi = sum(max(row) for row in table.storage_bits)
         budget = lo + (hi - lo) * data.draw(st.fractions(min_value=0, max_value=Fraction(6, 5)))
         assert solve_mckp(table, budget).assignment == reference_solve_mckp(table, budget)
+
+
+def tied_table():
+    """A 6-matrix table over TIED_COST_CONFIGS."""
+    rng = np.random.default_rng(7)
+    return make_table(rng.lognormal(0, 1, (6, len(TIED_COST_CONFIGS))),
+                      sizes=[int(s) for s in rng.integers(1, 100, 6)], configs=TIED_COST_CONFIGS)
+
+
+def bits_per_param(frac):
+    """The budget of 2 + 2 * frac bits per parameter."""
+    return lambda table: (2 + 2 * frac) * sum(table.sizes)
+
+
+def between_extremes(frac):
+    """The budget frac of the way from the least to the greatest storage."""
+    def budget(table):
+        lo = sum(min(row) for row in table.storage_bits)
+        hi = sum(max(row) for row in table.storage_bits)
+        return lo + (hi - lo) * frac
+    return budget
+
+
+# (table, budget, assignment, nodes, bounds) as the search gave them
+# before the root Lagrangian reduction.  The reduction drops only
+# candidates that every node would prune, so the assignment and the nodes
+# must stay and the bounds may only fall.  The breakpoint budgets end the
+# root LP exactly on a hull step, where its bound equals the greedy
+# incumbent and the reduction empties every class.
+GOLDEN = [
+    ("seeded0-1/8", lambda: seeded_table(6, seed=0), bits_per_param(Fraction(1, 8)),
+     [9, 57, 6, 129, 7, 15], 6, 28),
+    ("seeded0-3/8", lambda: seeded_table(6, seed=0), bits_per_param(Fraction(3, 8)),
+     [156, 93, 6, 129, 7, 15], 10, 84),
+    ("seeded0-5/8", lambda: seeded_table(6, seed=0), bits_per_param(Fraction(5, 8)),
+     [135, 232, 6, 179, 84, 15], 43, 217),
+    ("seeded1-1/8", lambda: seeded_table(6, seed=1), bits_per_param(Fraction(1, 8)),
+     [21, 26, 64, 45, 119, 67], 7, 35),
+    ("seeded1-3/8", lambda: seeded_table(6, seed=1), bits_per_param(Fraction(3, 8)),
+     [21, 26, 101, 117, 119, 67], 12, 94),
+    ("seeded1-5/8", lambda: seeded_table(6, seed=1), bits_per_param(Fraction(5, 8)),
+     [21, 92, 213, 117, 208, 67], 22, 175),
+    ("seeded2-1/8", lambda: seeded_table(6, seed=2), bits_per_param(Fraction(1, 8)),
+     [64, 123, 57, 9, 26, 44], 15, 79),
+    ("seeded2-3/8", lambda: seeded_table(6, seed=2), bits_per_param(Fraction(3, 8)),
+     [160, 164, 110, 94, 26, 44], 6, 59),
+    ("seeded2-5/8", lambda: seeded_table(6, seed=2), bits_per_param(Fraction(5, 8)),
+     [196, 164, 214, 117, 141, 44], 143, 796),
+    ("tied-1/4", tied_table, between_extremes(Fraction(1, 4)), [3, 1, 2, 2, 0, 5], 8, 15),
+    ("tied-1/2", tied_table, between_extremes(Fraction(1, 2)), [3, 5, 2, 2, 0, 5], 6, 12),
+    ("seeded1-breakpoint", lambda: seeded_table(6, seed=1), lambda _: Fraction(34075, 2),
+     [21, 26, 101, 45, 119, 67], 1, 5),
+    ("tied-breakpoint", tied_table, lambda _: Fraction(6421, 8), [3, 1, 2, 2, 1, 2], 1, 2),
+]
+GOLDEN_IDS = [case[0] for case in GOLDEN]
+
+
+def lp_relaxation(table, budget):
+    """The MCKP's LP relaxation optimum, by scipy's HiGHS."""
+    n, c = table.errors.shape
+    storage = np.array([[float(s) for s in row] for row in table.storage_bits])
+    one_per_class = np.kron(np.eye(n), np.ones(c))
+    res = linprog(table.errors.ravel(), A_ub=storage.reshape(1, -1), b_ub=[float(budget)],
+                  A_eq=one_per_class, b_eq=np.ones(n), bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+class TestRootReduction:
+    @pytest.mark.parametrize("make, budget, assignment, nodes, bounds",
+                             [case[1:] for case in GOLDEN], ids=GOLDEN_IDS)
+    def test_same_search_fewer_bounds(self, make, budget, assignment, nodes, bounds):
+        table = make()
+        sol = solve_mckp(table, budget(table))
+        assert sol.assignment == assignment
+        assert sol.nodes == nodes
+        assert sol.bounds <= bounds
+
+    @pytest.mark.parametrize("case", GOLDEN[-2:], ids=GOLDEN_IDS[-2:])
+    def test_breakpoint_budget_empties_every_class(self, case):
+        _, make, budget, *_ = case
+        table = make()
+        sol = solve_mckp(table, budget(table))
+        assert (sol.nodes, sol.bounds) == (1, 0)
+        assert sol.lp_bound == pytest.approx(sol.total_error, rel=1e-12)
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=GOLDEN_IDS)
+    def test_lp_bound_is_the_root_relaxation(self, case):
+        _, make, budget, *_ = case
+        table = make()
+        sol = solve_mckp(table, budget(table))
+        assert sol.lp_bound <= sol.total_error
+        # HiGHS solves to its default feasibility tolerance of 1e-7
+        assert sol.lp_bound == pytest.approx(lp_relaxation(table, budget(table)), rel=1e-7)
+
+    def test_lp_bound_without_search(self):
+        table = seeded_table(3, seed=1)
+        sol = solve_mckp(table, 10 ** 9)
+        assert sol.lp_bound == sol.total_error
+        assert brute_force_mckp(make_table([[1.0, 2.0]]), 10 ** 9).lp_bound is None
 
 
 class TestBruteForce:
@@ -423,15 +530,21 @@ class TestJsonRoundTrips:
     def test_alloc_solution_search_stats(self):
         sol = AllocSolution(assignment=[1], total_error=0.5,
                             total_storage_bits=Fraction(3), budget_bits=Fraction(4),
-                            optimal=True, nodes=12, bounds=40)
+                            optimal=True, nodes=12, bounds=40, lp_bound=0.375)
         back = AllocSolution.from_json(sol.to_json())
-        assert (back.nodes, back.bounds) == (12, 40)
+        assert (back.nodes, back.bounds, back.lp_bound) == (12, 40, 0.375)
         # files written before the search reported its work still load
         payload = sol.to_json()
-        del payload["nodes"], payload["bounds"]
+        del payload["nodes"], payload["bounds"], payload["lp_bound"]
         old = AllocSolution.from_json(payload)
-        assert old.nodes is None and old.bounds is None
+        assert old.nodes is None and old.bounds is None and old.lp_bound is None
         assert old.assignment == [1]
+
+    def test_table_without_configs_is_malformed(self):
+        payload = make_table([[1.0]]).to_json()
+        payload["configs"], payload["errors"] = [], [[]]
+        with pytest.raises(FormatError, match="no configs"):
+            SweepTable.from_json(payload)
 
     def test_reloaded_table_keeps_budget_exact(self):
         # B0=48, B1=3 give costs (4075/6, 5875/6) that no float holds; a

@@ -135,8 +135,10 @@ class TestExitCodes:
         small_table([-16, 16], [[1.0, 0.5], [2.0, 1.0]]),
         small_table([], []),
         '{"sizes": [16], "configs"',
+        json.dumps({"sizes": [16], "configs": [], "errors": [[]],
+                    "fisher_weighted": False, "rank": 1, "seed": 0}),
     ], ids=["no-configs", "short-errors", "transposed-errors", "negative-size", "no-matrices",
-            "not-json"])
+            "not-json", "empty-configs"])
     def test_malformed_table(self, tmp_path, capsys, payload):
         table = tmp_path / "table.json"
         table.write_text(payload)
@@ -402,10 +404,12 @@ class TestAllocate:
             manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
             assert manifest["nodes"] == payload["nodes"]
             assert manifest["bounds"] == payload["bounds"]
+            assert manifest["lp_bound"] == payload["lp_bound"]
             if extra:
-                assert payload["nodes"] is payload["bounds"] is None
+                assert payload["nodes"] is payload["bounds"] is payload["lp_bound"] is None
             else:
                 assert payload["nodes"] >= 0 and payload["bounds"] >= 0
+                assert payload["lp_bound"] <= payload["total_error"]
         assert errors["plain"] == errors["brute"]
 
 
@@ -428,6 +432,7 @@ class TestInit:
         assert manifest["bits_per_param"] <= 3.0 + 1e-12
         assert manifest["nodes"] == solution["nodes"] >= 0
         assert manifest["bounds"] == solution["bounds"] >= 0
+        assert manifest["lp_bound"] == solution["lp_bound"] <= solution["total_error"]
 
         for i, entry in enumerate(manifest["matrices"]):
             q = read_quantized(out_dir / f"matrix_{i:03d}.lqq")
