@@ -262,7 +262,10 @@ def sweep(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
         raise ValueError("fishers list length must match matrices")
     n, c = len(matrices), len(grid.configs)
     if errors_init is not None:
-        errors = np.array(errors_init, dtype=np.float64).reshape(n, c).copy()
+        errors = np.array(errors_init, dtype=np.float64)
+        if errors.shape != (n, c):
+            raise ValueError(f"errors_init has shape {errors.shape}, expected "
+                             f"(matrices, configs) = {(n, c)}")
     else:
         errors = np.full((n, c), np.nan)
 

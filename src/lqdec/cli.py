@@ -436,17 +436,22 @@ def build_parser() -> _Parser:
     dc.add_argument("--init", choices=("zero", "quantize"), default="zero")
     dc.set_defaults(func=cmd_decompose)
 
-    sw = sub.add_parser("sweep", help="decompose every matrix under every config")
-    sw.add_argument("inputs", nargs="+")
+    # the options `_sweep_params` reads, shared by `sweep` and `init`
+    sweep_opts = argparse.ArgumentParser(add_help=False)
+    sweep_opts.add_argument("inputs", nargs="+")
+    sweep_opts.add_argument("--fisher", action="append", default=None)
+    sweep_opts.add_argument("--grid", default=None,
+                            help="JSON file of configs (default: built-in grid)")
+    sweep_opts.add_argument("--rank", type=int, default=1)
+    sweep_opts.add_argument("--seed", type=int, default=0)
+    sweep_opts.add_argument("--method", choices=("exact", "randomized"), default="randomized")
+    sweep_opts.add_argument("--max-iters", type=int, default=50)
+    sweep_opts.add_argument("--workers", type=int, default=None,
+                            help="parallel workers (default: LQDEC_WORKERS or 1)")
+
+    sw = sub.add_parser("sweep", parents=[sweep_opts],
+                        help="decompose every matrix under every config")
     sw.add_argument("-o", "--output", required=True)
-    sw.add_argument("--fisher", action="append", default=None)
-    sw.add_argument("--grid", default=None, help="JSON file of configs (default: built-in grid)")
-    sw.add_argument("--rank", type=int, default=1)
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--method", choices=("exact", "randomized"), default="randomized")
-    sw.add_argument("--max-iters", type=int, default=50)
-    sw.add_argument("--workers", type=int, default=None,
-                    help="parallel workers (default: LQDEC_WORKERS or 1)")
     sw.add_argument("--fresh", action="store_true", help="ignore any resumable partial table")
     sw.set_defaults(func=cmd_sweep)
 
@@ -457,17 +462,10 @@ def build_parser() -> _Parser:
     al.add_argument("--brute-force", action="store_true")
     al.set_defaults(func=cmd_allocate)
 
-    it = sub.add_parser("init", help="sweep, allocate, and write decompositions")
-    it.add_argument("inputs", nargs="+")
+    it = sub.add_parser("init", parents=[sweep_opts],
+                        help="sweep, allocate, and write decompositions")
     it.add_argument("--out-dir", required=True)
     it.add_argument("--budget-bits-per-param", type=_fraction, required=True)
-    it.add_argument("--fisher", action="append", default=None)
-    it.add_argument("--grid", default=None)
-    it.add_argument("--rank", type=int, default=1)
-    it.add_argument("--seed", type=int, default=0)
-    it.add_argument("--method", choices=("exact", "randomized"), default="randomized")
-    it.add_argument("--max-iters", type=int, default=50)
-    it.add_argument("--workers", type=int, default=None)
     it.set_defaults(func=cmd_init)
 
     rp = sub.add_parser("report", help="effective bits per parameter accounting")
@@ -489,10 +487,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -604,6 +604,16 @@ class TestSweep:
         resumed = sweep(mats, None, self.GRID, rank=2, seed=3, errors_init=partial)
         assert np.array_equal(resumed.errors, full.errors)
 
+    @pytest.mark.parametrize("shape", [(3, 2), (6,), (1, 6), (2, 3, 1)])
+    def test_errors_init_of_wrong_shape_is_rejected(self, shape):
+        # 2 matrices x 3 configs: a transposed, flat or padded table holds
+        # the right number of cells, but reshaping it would put errors in
+        # the wrong ones
+        grid = ConfigGrid(configs=self.GRID.configs + (QuantConfig(3, 8, "fp16", 16, 64),))
+        wrong = np.arange(6, dtype=np.float64).reshape(shape)
+        with pytest.raises(ValueError, match="errors_init"):
+            sweep(self.matrices(), None, grid, rank=2, seed=3, errors_init=wrong)
+
     def test_on_row_callback(self):
         rows = []
         sweep(self.matrices(), None, self.GRID, rank=2, seed=3,

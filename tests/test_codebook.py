@@ -1,5 +1,6 @@
 """Codebook construction and inverse normal CDF accuracy."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -49,7 +50,8 @@ class TestInverseNormalCdf:
         for p in (0.01, 0.1, 0.3, 0.45, 0.499):
             assert inverse_normal_cdf(p) == pytest.approx(-inverse_normal_cdf(1 - p), abs=1e-12)
 
-    @pytest.mark.parametrize("p", [1e-10, 1e-6, 1e-3, 0.025, 0.2, 0.5, 0.8, 0.999999, 1 - 1e-10])
+    @pytest.mark.parametrize("p", [1e-10, 1e-6, 1e-3, 0.025, 0.2, 0.5, 0.8, 0.999999, 1 - 1e-10,
+                                   1e-30, 1e-82, 1e-200, 1e-300])
     def test_against_bisection(self, p):
         assert inverse_normal_cdf(p) == pytest.approx(bisect_inverse_cdf(p), abs=1e-9)
 
@@ -130,6 +132,20 @@ class TestCodebook:
         probs = np.concatenate([lo, hi[1:]])
         ref = scipy.special.ndtri(probs) / scipy.special.ndtri(1 - TAIL_DELTA)
         assert np.max(np.abs(cb.levels - ref)) < 1e-12
+
+    # Stored containers hold codes, not levels, so they decode through
+    # these exact floats; any change to the quantile path must keep them.
+    GOLDEN_LEVELS_SHA256 = {
+        2: "08d0a0eb540b19c9a836baae397e3fdc3dbfb3c1da332661b0cd62f677a87936",
+        3: "dc0efed39570df81f185b567da6f7db20a58f4980766e36528bcab1be66e9b7b",
+        4: "df29a21cbd98fc9ee7df4ae8e13c0bc85b1f22c0af2fcbe2ff13e6b6b5f9ebc7",
+        8: "b36733383202762542b7357f30ffbb11852ddd0a2304d614bae9940049872c80",
+    }
+
+    @pytest.mark.parametrize("bits", SUPPORTED_BITS)
+    def test_levels_are_bit_identical_to_golden(self, bits):
+        digest = hashlib.sha256(build_codebook(bits).levels.tobytes()).hexdigest()
+        assert digest == self.GOLDEN_LEVELS_SHA256[bits]
 
     @pytest.mark.parametrize("bits", [0, 1, 5, 16])
     def test_unsupported_bits(self, bits):
