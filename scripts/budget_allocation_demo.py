@@ -8,8 +8,8 @@ Example:
 import argparse
 from fractions import Fraction
 
-from lqdec import ConfigGrid, QuantConfig, gen_matrix, solve_mckp, sweep
-from lqdec.alloc import solution_bits_per_param
+from lqdec import (ConfigGrid, QuantConfig, gen_matrix, solve_mckp,
+                   storage_bits_per_param, sweep)
 from lqdec.errors import InfeasibleBudgetError
 
 # a toy transformer block: attention projections plus a wider MLP pair
@@ -76,8 +76,8 @@ def main():
     floor = sum(min(row) for row in table.storage_bits)
     feasible = [b for b in budgets if b * total_params >= floor]
     sol = solve_mckp(table, min(feasible) * total_params)
-    for name, bits in zip(names, solution_bits_per_param(table, sol)):
-        print(f"  {name:>9}: {float(bits):.4f}")
+    for name, ci in zip(names, sol.assignment):
+        print(f"  {name:>9}: {float(storage_bits_per_param(table.configs[ci])):.4f}")
     return 0
 
 

@@ -27,6 +27,7 @@ changes neither the assignment nor the search.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
 import math
@@ -213,35 +214,23 @@ class AllocSolution:
 # sweeping
 # ---------------------------------------------------------------------------
 
-_WORKER_STATE: dict = {}
+def _decompose_cell(matrices, fishers, configs, rank, seed, method, max_iters, i, c):
+    """One sweep table cell: matrix i under configs[c], seeded from (seed, i, c)."""
+    fisher = None if fishers is None else fishers[i]
+    return lq_decompose(matrices[i], fisher, configs[c], rank,
+                        max_iters=max_iters, seed=derive_seed(seed, i, c), method=method)
 
 
-def _init_sweep_worker(matrices, fishers, rank, seed, method, max_iters):
-    _WORKER_STATE["matrices"] = matrices
-    _WORKER_STATE["fishers"] = fishers
-    _WORKER_STATE["rank"] = rank
-    _WORKER_STATE["seed"] = seed
-    _WORKER_STATE["method"] = method
-    _WORKER_STATE["max_iters"] = max_iters
+_pool_cell = None  # a pool worker's `_decompose_cell` partial, set by its initializer
 
 
-def _sweep_cell_worker(task):
-    i, c, cfg_tuple = task
-    st = _WORKER_STATE
-    fisher = None if st["fishers"] is None else st["fishers"][i]
-    err = _sweep_cell(
-        st["matrices"][i], fisher, QuantConfig(*cfg_tuple),
-        st["rank"], st["seed"], i, c, st["method"], st["max_iters"],
-    )
-    return i, c, err
+def _init_sweep_worker(cell):
+    global _pool_cell
+    _pool_cell = cell
 
 
-def _sweep_cell(w, fisher, cfg, rank, seed, i, c, method, max_iters):
-    res = lq_decompose(
-        w, fisher, cfg, rank,
-        max_iters=max_iters, seed=derive_seed(seed, i, c), method=method,
-    )
-    return res.error ** 2
+def _pool_squared_error(task):
+    return _pool_cell(*task).error ** 2
 
 
 def sweep(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
@@ -275,33 +264,21 @@ def sweep(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
         fisher_weighted=fishers is not None, rank=rank, seed=seed,
     )
 
+    cell = functools.partial(_decompose_cell, matrices, fishers, grid.configs,
+                             rank, seed, method, max_iters)
     pending = [(i, ci) for i in range(n) for ci in range(c) if math.isnan(errors[i, ci])]
-    remaining_per_row = np.zeros(n, dtype=int)
-    for i, _ in pending:
-        remaining_per_row[i] += 1
-
-    def finish(i, ci, err):
-        errors[i, ci] = err
-        remaining_per_row[i] -= 1
-        if remaining_per_row[i] == 0 and on_row is not None:
-            on_row(i, table)
-
-    if workers <= 1 or len(pending) <= 1:
-        for i, ci in pending:
-            fisher = None if fishers is None else fishers[i]
-            err = _sweep_cell(matrices[i], fisher, grid.configs[ci],
-                              rank, seed, i, ci, method, max_iters)
-            finish(i, ci, err)
-        return table
-
-    tasks = [(i, ci, grid.configs[ci].as_tuple()) for i, ci in pending]
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_sweep_worker,
-        initargs=(matrices, fishers, rank, seed, method, max_iters),
-    ) as pool:
-        for i, ci, err in pool.map(_sweep_cell_worker, tasks, chunksize=4):
-            finish(i, ci, err)
+    with contextlib.ExitStack() as stack:
+        squared = (cell(i, ci).error ** 2 for i, ci in pending)
+        if workers > 1 and len(pending) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_sweep_worker, initargs=(cell,)))
+            squared = pool.map(_pool_squared_error, pending, chunksize=4)
+        # results arrive in the row-major order of `pending`, so a row is
+        # complete at its last pending cell
+        for k, ((i, ci), err) in enumerate(zip(pending, squared)):
+            errors[i, ci] = err
+            if on_row is not None and (k + 1 == len(pending) or pending[k + 1][0] != i):
+                on_row(i, table)
     return table
 
 
@@ -333,12 +310,6 @@ def _scaled_budget(table: SweepTable, budget_bits):
     if min_storage > cap:
         raise InfeasibleBudgetError(budget, Fraction(min_storage, denom))
     return budget, costs, denom, cap
-
-
-def _capacity(table: SweepTable, budget_bits):
-    """`_scaled_budget` with every cell's integer cost, s_int[i][c]."""
-    budget, costs, denom, cap = _scaled_budget(table, budget_bits)
-    return budget, [[int(size) * k for k in costs] for size in table.sizes], denom, cap
 
 
 def _integer_errors(errors):
@@ -601,7 +572,8 @@ def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GU
     or overflow.  Of the feasible assignments with the least error
     the first in `itertools.product` order is returned.
     """
-    budget, s_int, denom, cap = _capacity(table, budget_bits)
+    budget, costs, denom, cap = _scaled_budget(table, budget_bits)
+    s_int = [[int(size) * k for k in costs] for size in table.sizes]
     n, c = table.errors.shape
     if c ** n > guard:
         raise ValueError(f"instance size {c}**{n} exceeds the brute-force guard {guard}")
@@ -631,21 +603,16 @@ def lq_lora_init(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
 
     The budget is average bits per quantized parameter; low-rank factors
     live outside it.  Returns (per-matrix results, solution, sweep table);
-    each final decomposition reuses its sweep cell's derived seed, so
-    result errors equal the corresponding table entries.
+    each final decomposition recomputes its sweep cell through
+    `_decompose_cell`, so result errors equal the table entries.
     """
     table = sweep(matrices, fishers, grid, rank, seed=seed, workers=workers,
                   method=method, max_iters=max_iters)
     total_params = sum(table.sizes)
     budget_bits = Fraction(budget_bits_per_param) * total_params
     solution = solve_mckp(table, budget_bits)
-    results = []
-    for i, ci in enumerate(solution.assignment):
-        fisher = None if fishers is None else fishers[i]
-        results.append(lq_decompose(
-            matrices[i], fisher, table.configs[ci], rank,
-            max_iters=max_iters, seed=derive_seed(seed, i, ci), method=method,
-        ))
+    results = [_decompose_cell(matrices, fishers, table.configs, rank, seed, method, max_iters, i, ci)
+               for i, ci in enumerate(solution.assignment)]
     return results, solution, table
 
 
@@ -723,7 +690,3 @@ def storage_report(shapes, quant_bits_per_param, lora_rank: int = 0,
         lora_bits=lora_bits,
     )
 
-
-def solution_bits_per_param(table: SweepTable, solution: AllocSolution):
-    """Per-matrix bit costs implied by an allocation."""
-    return [storage_bits_per_param(table.configs[ci]) for ci in solution.assignment]

@@ -31,8 +31,8 @@ def pack_bits(codes, bits: int) -> bytes:
     return np.packbits(bitmat.ravel(), bitorder="little").tobytes()
 
 
-def unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
-    """Exact inverse of pack_bits; padding bits are ignored."""
+def _check_stream(data: bytes, bits: int, count: int) -> None:
+    """Raise unless `data` is the packed_size(count, bits) stream of pack_bits."""
     if not 1 <= bits <= 8:
         raise ValueError(f"code width must be in 1..8, got {bits}")
     if count < 0:
@@ -42,18 +42,24 @@ def unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
             f"packed stream holds {len(data)} bytes, expected "
             f"{packed_size(count, bits)} for {count} codes of {bits} bits"
         )
-    if count == 0:
-        return np.zeros(0, dtype=np.uint8)
-    raw = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    bitmat = raw[: count * bits].reshape(count, bits)
-    weights = (1 << np.arange(bits, dtype=np.uint32))
-    return bitmat.astype(np.uint32).dot(weights).astype(np.uint8)
+
+
+def unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
+    """Exact inverse of pack_bits; padding bits are ignored.
+
+    A code's weighted bit sum is at most 255, so uint8 arithmetic is exact.
+    """
+    _check_stream(data, bits, count)
+    raw = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count * bits, bitorder="little")
+    return raw.reshape(count, bits) @ (1 << np.arange(bits)).astype(np.uint8)
 
 
 def padding_is_zero(data: bytes, bits: int, count: int) -> bool:
-    """True when every bit past count * bits in the stream is zero."""
-    used = count * bits
-    if len(data) * 8 == used:
-        return True
-    raw = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    return not raw[used:].any()
+    """True when every bit past count * bits in the stream is zero.
+
+    `data` must be the packed_size(count, bits) bytes that pack_bits writes
+    (FormatError otherwise), so padding lies only in its last byte.
+    """
+    _check_stream(data, bits, count)
+    used = count * bits % 8
+    return used == 0 or data[-1] >> used == 0

@@ -14,11 +14,10 @@ from lqdec.alloc import (
     ConfigGrid,
     LORA_FORMATS,
     SweepTable,
-    _capacity,
+    _scaled_budget,
     brute_force_mckp,
     default_grid,
     lq_lora_init,
-    solution_bits_per_param,
     solve_mckp,
     storage_report,
     sweep,
@@ -47,7 +46,8 @@ def reference_solve_mckp(table, budget_bits):
     scan over every increment trusted up to a 1e-9 * (1 + |incumbent|)
     margin, and the increments are ordered by float efficiency.
     """
-    _, s_int, _, cap = _capacity(table, budget_bits)
+    _, costs, _, cap = _scaled_budget(table, budget_bits)
+    s_int = [[size * k for k in costs] for size in table.sizes]
     errors = table.errors
     n, c = errors.shape
 
@@ -589,10 +589,15 @@ class TestSweep:
                            seed=derive_seed(3, 1, 0))
         assert table.errors[1, 0] == res.error ** 2
 
-    def test_worker_count_does_not_change_results(self):
+    def fishers(self):
+        return [gen_fisher("separable", 24, 16, seed=s) for s in (5, 6)]
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_worker_count_does_not_change_results(self, weighted):
         mats = self.matrices()
-        serial = sweep(mats, None, self.GRID, rank=2, seed=3, workers=1)
-        parallel = sweep(mats, None, self.GRID, rank=2, seed=3, workers=2)
+        fishers = self.fishers() if weighted else None
+        serial = sweep(mats, fishers, self.GRID, rank=2, seed=3, workers=1)
+        parallel = sweep(mats, fishers, self.GRID, rank=2, seed=3, workers=2)
         assert np.array_equal(serial.errors, parallel.errors)
 
     def test_resume_fills_only_missing_cells(self):
@@ -622,8 +627,7 @@ class TestSweep:
 
     def test_fisher_weighted_flag(self):
         mats = self.matrices()
-        fishers = [gen_fisher("separable", 24, 16, seed=s) for s in (5, 6)]
-        table = sweep(mats, fishers, self.GRID, rank=2, seed=3)
+        table = sweep(mats, self.fishers(), self.GRID, rank=2, seed=3)
         assert table.fisher_weighted
         unweighted = sweep(mats, None, self.GRID, rank=2, seed=3)
         assert not np.array_equal(table.errors, unweighted.errors)
@@ -638,11 +642,15 @@ class TestSweep:
 
 
 class TestLqLoraInit:
-    def test_final_results_match_table_cells(self):
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_final_results_match_table_cells(self, weighted):
         mats = [gen_matrix("gaussian", 24, 24, seed=s) for s in (0, 1)]
+        fishers = [gen_fisher("separable", 24, 24, seed=s) for s in (5, 6)] if weighted else None
         grid = TestSweep.GRID
         results, solution, table = lq_lora_init(
-            mats, None, grid, rank=2, budget_bits_per_param=4.0, seed=5)
+            mats, fishers, grid, rank=2, budget_bits_per_param=4.0, seed=5,
+            workers=2 if weighted else 1)
+        assert table.fisher_weighted == weighted
         assert solution.optimal
         for i, (res, ci) in enumerate(zip(results, solution.assignment)):
             assert res.error ** 2 == table.errors[i, ci]
@@ -719,12 +727,6 @@ class TestStorageReport:
         for shapes in ([(0, 4)], [(4, 4), (-2, -2)]):
             with pytest.raises(ValueError):
                 storage_report(shapes, 4)
-
-    def test_solution_bits_per_param(self):
-        table = make_table([[1.0, 2.0]])
-        sol = solve_mckp(table, 10 ** 9)
-        bits = solution_bits_per_param(table, sol)
-        assert bits == [storage_bits_per_param(table.configs[sol.assignment[0]])]
 
     def test_json_payload(self):
         report = storage_report([(8, 8)], 4, lora_rank=1,

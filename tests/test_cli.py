@@ -258,8 +258,8 @@ class TestSweep:
         first = out.read_bytes()
 
         calls = []
-        real = alloc._sweep_cell
-        monkeypatch.setattr(alloc, "_sweep_cell",
+        real = alloc.lq_decompose
+        monkeypatch.setattr(alloc, "lq_decompose",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         code, text = run(capsys, *argv)
         assert code == 0
@@ -280,8 +280,8 @@ class TestSweep:
         out.write_text(json.dumps(payload))
 
         calls = []
-        real = alloc._sweep_cell
-        monkeypatch.setattr(alloc, "_sweep_cell",
+        real = alloc.lq_decompose
+        monkeypatch.setattr(alloc, "lq_decompose",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         assert cli.main(argv) == 0
         assert len(calls) == 1
@@ -295,8 +295,8 @@ class TestSweep:
         assert cli.main(argv) == 0
 
         calls = []
-        real = alloc._sweep_cell
-        monkeypatch.setattr(alloc, "_sweep_cell",
+        real = alloc.lq_decompose
+        monkeypatch.setattr(alloc, "lq_decompose",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         assert cli.main(argv + ["--fresh"]) == 0
         assert len(calls) == 2

@@ -1,5 +1,7 @@
 """Bit packing round trips and layout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,17 +36,20 @@ def test_packed_size(bits, count, nbytes):
     assert packed_size(count, bits) == nbytes
 
 
-@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("bits", range(1, 9))
 def test_round_trip_dense(bits):
     rng = np.random.default_rng(bits)
-    codes = rng.integers(0, 2 ** bits, size=137).astype(np.uint8)
-    data = pack_bits(codes, bits)
-    assert len(data) == packed_size(137, bits)
-    assert np.array_equal(unpack_bits(data, bits, 137), codes)
+    random = rng.integers(0, 2 ** bits, size=137).astype(np.uint8)
+    # every bit set: 255 at 8 bits, the largest weighted sum
+    full = np.full(137, 2 ** bits - 1, dtype=np.uint8)
+    for codes in (random, full):
+        data = pack_bits(codes, bits)
+        assert len(data) == packed_size(137, bits)
+        assert np.array_equal(unpack_bits(data, bits, 137), codes)
 
 
 @given(
-    bits=st.sampled_from([1, 2, 3, 4, 8]),
+    bits=st.integers(min_value=1, max_value=8),
     codes=st.lists(st.integers(min_value=0, max_value=255), max_size=64),
 )
 @settings(max_examples=200)
@@ -70,9 +75,37 @@ def test_wrong_byte_count_is_format_error():
         unpack_bits(b"\x00\x00", 2, 4)
     with pytest.raises(FormatError):
         unpack_bits(b"", 2, 4)
+    with pytest.raises(FormatError):
+        padding_is_zero(b"\x00\x00", 2, 4)
+    with pytest.raises(FormatError):
+        padding_is_zero(b"\x00", 3, 3)
 
 
 def test_padding_check_detects_garbage():
     # one 3-bit code leaves five padding bits that must stay clear
     assert not padding_is_zero(b"\xfd", 3, 1)
     assert padding_is_zero(b"\x05", 3, 1)
+    # every padding bit of every width, each set alone after all-ones codes
+    for bits in range(1, 9):
+        for count in (0, 1, 5, 8, 13):
+            data = bytearray(pack_bits(np.full(count, 2 ** bits - 1, dtype=np.uint8), bits))
+            assert padding_is_zero(bytes(data), bits, count)
+            for pos in range(count * bits, len(data) * 8):
+                data[pos // 8] |= 1 << pos % 8
+                assert not padding_is_zero(bytes(data), bits, count), (bits, count, pos)
+                data[pos // 8] &= ~(1 << pos % 8)
+
+
+@pytest.mark.parametrize("bits", [3, 8])
+def test_unpack_peak_memory(bits):
+    # one uint8 per unpacked bit plus the uint8 codes; widening the bit
+    # matrix to uint32 for the weighted sum peaked at 19 B per 3-bit code
+    count = 1 << 18
+    data = pack_bits(np.zeros(count, dtype=np.uint8), bits)
+    tracemalloc.start()
+    try:
+        unpack_bits(data, bits, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (bits + 1.5) * count
