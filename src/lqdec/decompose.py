@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorize import LowRankFactors, factorize, weighted_error
+from .factorize import LowRankFactors, factorize, fisher_scalers, weighted_error
 from .quant import QuantConfig, QuantizedMatrix, dequantize, quantize_nf, quantize_values
 
 REASON_INCREASED = "error-increased"
@@ -53,7 +53,8 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
 
     Errors are measured on the dequantized container and the factors at
     serialization precision, in the sqrt(f)-weighted Frobenius norm when
-    ``f`` is given, accumulated in float64.  ``init`` selects the initial
+    ``f`` (an importance matrix or its ``WeightScalers``) is given,
+    accumulated in float64.  ``init`` selects the initial
     quantized part: "zero" starts the factors on plain W, "quantize"
     starts them on the quantization residual.
     """
@@ -70,8 +71,8 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
         raise ValueError("matrix entries must be finite")
     w64 = w32.astype(np.float64)
     if f is not None:
-        # converted once: every factorization and error reads it as float64
-        f = np.asarray(f, dtype=np.float64)
+        # checked and rooted once: every factorization and error reuses it
+        f = fisher_scalers(f)
 
     reference = weighted_error(w64, None, None, f)
     # r is the residual W - dequantize(Q) the next factorization splits.

@@ -52,22 +52,7 @@ class LowRankFactors:
         return np.asarray(self.l1, dtype=np.float64) @ np.asarray(self.l2, dtype=np.float64)
 
 
-def _split(u, s, vt) -> LowRankFactors:
-    root = np.sqrt(s)
-    return LowRankFactors(l1=u * root, l2=root[:, None] * vt)
-
-
-def _as_start(start, rank: int, k: int):
-    """A warm-start L2 as float64, checked to be rank x k."""
-    if start is None:
-        return None
-    start = np.asarray(start, dtype=np.float64)
-    if start.shape != (rank, k):
-        raise ValueError(f"start shape {start.shape} does not match {(rank, k)}")
-    return start
-
-
-def _rayleigh_ritz(a, y, rank: int) -> LowRankFactors:
+def _rayleigh_ritz(a, y, rank: int):
     """Best rank-`rank` factors of `a` projected onto the range of the sketch `y`.
 
     The basis is the shifted Cholesky-QR of y (Fukaya et al., SIAM J.
@@ -91,17 +76,56 @@ def _rayleigh_ritz(a, y, rank: int) -> LowRankFactors:
     root = np.sqrt(np.sqrt(np.maximum(lam[::-1][:rank], 0.0)) * b_max)
     # a direction with a zero singular value gets zero factors
     inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
-    return LowRankFactors(l1=y @ (c_inv.T @ (u * root)), l2=(u * inv_root).T @ b)
+    return y @ (c_inv.T @ (u * root)), (u * inv_root).T @ b
 
 
-def svd_truncated(a, rank: int, method: str = "exact", seed: int = 0,
-                  start=None) -> LowRankFactors:
-    """Best (or sketched) rank-`rank` factorization of a dense matrix.
+@dataclass(frozen=True)
+class WeightScalers:
+    """An importance matrix F, checked: sqrt(F) and its positive row/column scalers."""
+
+    root: np.ndarray
+    d_row: np.ndarray
+    d_col: np.ndarray
+
+
+def fisher_scalers(f) -> WeightScalers:
+    """Check F once and derive sqrt(F) with its row and column means.
+
+    Means below 1e-8 of the largest mean on the same axis are clamped to
+    that floor; an all-zero F degrades to all-ones scalers so the
+    weighted path coincides with the unweighted one.  A `WeightScalers`
+    is returned as it is, so callers may pass either form on.
+    """
+    if isinstance(f, WeightScalers):
+        return f
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim != 2:
+        raise ValueError("expected a 2-d importance matrix")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("importance weights must be finite")
+    if np.any(f < 0):
+        raise ValueError("importance weights must be nonnegative")
+    root = np.sqrt(f)
+    row = root.mean(axis=1)
+    col = root.mean(axis=0)
+    if row.max() == 0.0:
+        return WeightScalers(root=root, d_row=np.ones_like(row), d_col=np.ones_like(col))
+    row = np.maximum(row, 1e-8 * row.max())
+    col = np.maximum(col, 1e-8 * col.max())
+    return WeightScalers(root=root, d_row=row, d_col=col)
+
+
+def factorize(a, f=None, rank: int = 1, method: str = "exact", seed: int = 0,
+              start=None) -> LowRankFactors:
+    """Best (or sketched) rank-`rank` factors, importance-weighted when `f` is given.
 
     The singular spectrum is split evenly: L1 = U sqrt(S), L2 = sqrt(S) V^T,
-    so both factors carry the same Frobenius norm.  `start`, a rank x k
-    L2 of a nearby matrix, warm-starts the randomized range finder; the
-    exact method checks its shape but does not use it.
+    so both factors carry the same Frobenius norm.  `f` is an importance
+    matrix or the `WeightScalers` of one; the weighted path factorizes
+    the row/column scaled matrix and unscales the factors.  `start`, a
+    rank x k L2 of a nearby matrix in the same (unscaled) coordinates as
+    the result, warm-starts the randomized range finder; the exact method
+    checks its shape but does not use it.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -109,11 +133,25 @@ def svd_truncated(a, rank: int, method: str = "exact", seed: int = 0,
     d, k = a.shape
     if not 1 <= rank <= min(d, k):
         raise ValueError(f"rank must lie in [1, {min(d, k)}], got {rank}")
-    start = _as_start(start, rank, k)
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (rank, k):
+            raise ValueError(f"start shape {start.shape} does not match {(rank, k)}")
+    scalers = None
+    if f is not None:
+        scalers = fisher_scalers(f)
+        if scalers.root.shape != a.shape:
+            raise ValueError(f"importance shape {scalers.root.shape} does not match "
+                             f"matrix shape {a.shape}")
+        a = scalers.d_row[:, None] * a
+        a *= scalers.d_col
+        if start is not None:
+            start = start * scalers.d_col[None, :]
     if method == "exact":
         u, s, vt = np.linalg.svd(a, full_matrices=False)
-        return _split(u[:, :rank], s[:rank], vt[:rank])
-    if method == "randomized":
+        root = np.sqrt(s[:rank])
+        l1, l2 = u[:, :rank] * root, root[:, None] * vt[:rank]
+    elif method == "randomized":
         rng = np.random.default_rng(seed)
         sketch = min(min(d, k), rank + OVERSAMPLE)
         if start is None:
@@ -136,71 +174,21 @@ def svd_truncated(a, rank: int, method: str = "exact", seed: int = 0,
             q, _ = np.linalg.qr(y)
             z, _ = np.linalg.qr(a.T @ q)
             y = a @ z
-        return _rayleigh_ritz(a, y, rank)
-    raise ValueError(f"unknown method {method!r}, expected one of {SVD_METHODS}")
-
-
-@dataclass(frozen=True)
-class WeightScalers:
-    """Positive row/column scalers derived from an importance matrix."""
-
-    d_row: np.ndarray
-    d_col: np.ndarray
-
-
-def fisher_scalers(f) -> WeightScalers:
-    """Row and column means of sqrt(F), floored away from zero.
-
-    Means below 1e-8 of the largest mean on the same axis are clamped to
-    that floor; an all-zero F degrades to all-ones scalers so the
-    weighted path coincides with the unweighted one.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 2:
-        raise ValueError("expected a 2-d importance matrix")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("importance weights must be finite")
-    if np.any(f < 0):
-        raise ValueError("importance weights must be nonnegative")
-    root = np.sqrt(f)
-    row = root.mean(axis=1)
-    col = root.mean(axis=0)
-    if row.max() == 0.0:
-        return WeightScalers(d_row=np.ones_like(row), d_col=np.ones_like(col))
-    row = np.maximum(row, 1e-8 * row.max())
-    col = np.maximum(col, 1e-8 * col.max())
-    return WeightScalers(d_row=row, d_col=col)
-
-
-def factorize(a, f=None, rank: int = 1, method: str = "exact", seed: int = 0,
-              start=None) -> LowRankFactors:
-    """Rank-`rank` factorization, importance-weighted when `f` is given.
-
-    `start` is an L2 in the same (unscaled) coordinates as the result.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if f is None:
-        return svd_truncated(a, rank, method=method, seed=seed, start=start)
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != a.shape:
-        raise ValueError(f"importance shape {f.shape} does not match matrix shape {a.shape}")
-    scalers = fisher_scalers(f)
-    scaled = scalers.d_row[:, None] * a
-    scaled *= scalers.d_col
-    if start is not None:
-        start = _as_start(start, rank, a.shape[1]) * scalers.d_col[None, :]
-    fac = svd_truncated(scaled, rank, method=method, seed=seed, start=start)
-    return LowRankFactors(
-        l1=fac.l1 / scalers.d_row[:, None],
-        l2=fac.l2 / scalers.d_col[None, :],
-    )
+        l1, l2 = _rayleigh_ritz(a, y, rank)
+    else:
+        raise ValueError(f"unknown method {method!r}, expected one of {SVD_METHODS}")
+    if scalers is not None:
+        l1 = l1 / scalers.d_row[:, None]
+        l2 = l2 / scalers.d_col[None, :]
+    return LowRankFactors(l1=l1, l2=l2)
 
 
 def weighted_error(w, q_dequant=None, factors=None, f=None) -> float:
     """Frobenius norm of sqrt(F) . (W - (Q + L1 L2)), in float64.
 
     Either residual term may be omitted; without `f` the plain Frobenius
-    norm of the residual is returned.
+    norm of the residual is returned.  `f` is an importance matrix or
+    the `WeightScalers` of one.
     """
     acc = np.asarray(w, dtype=np.float64)
     if acc.ndim != 2:
@@ -216,11 +204,8 @@ def weighted_error(w, q_dequant=None, factors=None, f=None) -> float:
             raise ValueError(f"factor shape {prod.shape} does not match {acc.shape}")
         acc = acc - prod
     if f is not None:
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape != acc.shape:
-            raise ValueError(f"importance shape {f.shape} does not match {acc.shape}")
-        if np.any(f < 0):
-            raise ValueError("importance weights must be nonnegative")
-        root = np.sqrt(f)
-        acc = np.multiply(root, acc, out=root)
+        root = fisher_scalers(f).root
+        if root.shape != acc.shape:
+            raise ValueError(f"importance shape {root.shape} does not match {acc.shape}")
+        acc = root * acc
     return float(np.linalg.norm(acc))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -33,25 +34,30 @@ def write_tensor(path, m) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a tensor file, checking header and file size before reading the payload."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, dtype, _reserved, rows, cols = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != 1:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if dtype != _DTYPE_F32:
-        raise FormatError(f"{path}: unknown dtype tag {dtype}")
-    if rows < 1 or cols < 1 or rows * cols > (1 << 48):
-        raise FormatError(f"{path}: bad dimensions {rows}x{cols}")
-    payload = blob[_HEADER.size:]
-    if len(payload) != rows * cols * 4:
-        raise FormatError(
-            f"{path}: payload holds {len(payload)} bytes, expected {rows * cols * 4}"
-        )
-    a = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, dtype, _reserved, rows, cols = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != 1:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if dtype != _DTYPE_F32:
+            raise FormatError(f"{path}: unknown dtype tag {dtype}")
+        if rows < 1 or cols < 1 or rows * cols > (1 << 48):
+            raise FormatError(f"{path}: bad dimensions {rows}x{cols}")
+        expected = rows * cols * 4
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size == expected:
+            a = np.empty((rows, cols), dtype="<f4")
+            # short if the file shrank after the fstat
+            size = fh.readinto(a)
+        if size != expected:
+            raise FormatError(f"{path}: payload holds {size} bytes, expected {expected}")
+    # a copy only on a big-endian host
+    a = a.astype(np.float32, copy=False)
     if not np.all(np.isfinite(a)):
         raise FormatError(f"{path}: non-finite entries")
     return a

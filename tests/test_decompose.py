@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lqdec
 from lqdec.decompose import (
     REASON_INCREASED,
     REASON_MAX_ITERS,
@@ -11,7 +12,13 @@ from lqdec.decompose import (
     derive_seed,
     lq_decompose,
 )
-from lqdec.factorize import LowRankFactors, factorize, weighted_error
+from lqdec.factorize import (
+    LowRankFactors,
+    WeightScalers,
+    factorize,
+    fisher_scalers,
+    weighted_error,
+)
 from lqdec.quant import QuantConfig, dequantize, quantize_nf
 from lqdec.tensor_io import gen_fisher, gen_matrix
 
@@ -230,3 +237,40 @@ class TestLqDecompose:
         w = np.full((8, 8), np.nan, dtype=np.float32)
         with pytest.raises(ValueError):
             lq_decompose(w, None, CFG, 2)
+
+
+class TestFisherParsedOnce:
+    """A weighted call checks and roots F once and reuses it in every iteration."""
+
+    @pytest.mark.parametrize("max_iters", [1, 4, 9])
+    def test_one_parse_per_call(self, monkeypatch, max_iters):
+        raw = []
+
+        def counting(f):
+            if not isinstance(f, WeightScalers):
+                raw.append(f)
+            return fisher_scalers(f)
+
+        for module in (lqdec.factorize, lqdec.decompose):
+            monkeypatch.setattr(module, "fisher_scalers", counting)
+        w = gen_matrix("gaussian", 64, 64, seed=13)
+        f = gen_fisher("random-nonneg", 64, 64, seed=13)
+        res = lq_decompose(w, f, CFG, rank=8, seed=13, max_iters=max_iters)
+        assert len(res.error_trace) == max_iters
+        assert len(raw) == 1
+
+    @pytest.mark.parametrize("method", ["randomized", "exact"])
+    @pytest.mark.parametrize("init", ["zero", "quantize"])
+    def test_scalers_in_place_of_fisher(self, init, method):
+        w = gen_matrix("gaussian", 48, 40, seed=14)
+        f = gen_fisher("random-nonneg", 48, 40, seed=14)
+        kwargs = dict(rank=4, max_iters=6, seed=14, method=method, init=init)
+        raw = lq_decompose(w, f, CFG, **kwargs)
+        parsed = lq_decompose(w, fisher_scalers(f), CFG, **kwargs)
+        assert parsed.error_trace == raw.error_trace
+        assert parsed.chosen_iteration == raw.chosen_iteration
+        assert parsed.converged_reason == raw.converged_reason
+        assert (parsed.q.codes, parsed.q.s_codes) == (raw.q.codes, raw.q.s_codes)
+        assert parsed.q.group_scales.tobytes() == raw.q.group_scales.tobytes()
+        assert parsed.factors.l1.tobytes() == raw.factors.l1.tobytes()
+        assert parsed.factors.l2.tobytes() == raw.factors.l2.tobytes()

@@ -7,9 +7,9 @@ import pytest
 
 from lqdec.factorize import (
     LowRankFactors,
+    WeightScalers,
     factorize,
     fisher_scalers,
-    svd_truncated,
     weighted_error,
 )
 from lqdec.tensor_io import gen_fisher, gen_matrix
@@ -67,7 +67,7 @@ class TestSvdTruncated:
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            svd_truncated(np.eye(4), 2, method="magic")
+            factorize(np.eye(4), rank=2, method="magic")
 
     def test_error_decreases_with_rank(self):
         rng = np.random.default_rng(4)
@@ -268,6 +268,42 @@ class TestWeightedError:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             weighted_error(np.zeros((2, 2), dtype=np.float32), f=np.zeros((3, 3)))
+
+
+class TestParsedWeights:
+    """F is checked and rooted in fisher_scalers; its result stands in for F."""
+
+    def test_scalers_pass_through(self):
+        f = gen_fisher("random-nonneg", 12, 9, seed=1)
+        sc = fisher_scalers(f)
+        assert isinstance(sc, WeightScalers)
+        assert fisher_scalers(sc) is sc
+        assert sc.root.tobytes() == np.sqrt(f.astype(np.float64)).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_weighted_error_rejects_nonfinite(self, bad):
+        w = np.ones((2, 2), dtype=np.float32)
+        f = np.array([[1.0, bad], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            weighted_error(w, f=f)
+
+    @pytest.mark.parametrize("method", ["exact", "randomized"])
+    def test_scalers_equal_raw_fisher(self, method):
+        a = gen_matrix("gaussian", 24, 18, seed=2).astype(np.float64)
+        f = gen_fisher("random-nonneg", 24, 18, seed=2)
+        sc = fisher_scalers(f)
+        raw = factorize(a, f, rank=4, method=method, seed=3)
+        parsed = factorize(a, sc, rank=4, method=method, seed=3)
+        assert raw.l1.tobytes() == parsed.l1.tobytes()
+        assert raw.l2.tobytes() == parsed.l2.tobytes()
+        assert weighted_error(a, None, raw, f) == weighted_error(a, None, raw, sc)
+
+    def test_scalers_shape_checked(self):
+        sc = fisher_scalers(np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            factorize(np.eye(4), sc, rank=2)
+        with pytest.raises(ValueError):
+            weighted_error(np.eye(4), f=sc)
 
 
 class TestLowRankFactors:

@@ -39,3 +39,10 @@ def test_traced_bindings_resolve():
     for module_name, attr, _ in rows:
         module = importlib.import_module("lqdec." + module_name)
         assert callable(getattr(module, attr, None)), f"lqdec.{module_name}.{attr}"
+
+
+def test_all_names_resolve():
+    # a name dropped from the package's imports but left in __all__ would
+    # only fail on `from lqdec import *`
+    missing = [name for name in lqdec.__all__ if not hasattr(lqdec, name)]
+    assert not missing

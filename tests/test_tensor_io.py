@@ -1,6 +1,7 @@
 """Dense tensor files, synthetic generators, and model presets."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,33 @@ class TestTensorFile:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FormatError):
             read_tensor(path)
+
+    @pytest.mark.parametrize("rows, cols, extra", [(2, 2, 4), (1 << 24, 1 << 24, 0)])
+    def test_payload_size_checked_before_reading(self, tmp_path, rows, cols, extra):
+        # a header may claim up to 2**48 entries: the file size is checked
+        # before the payload is allocated
+        path = tmp_path / "m.lqt"
+        write_tensor(path, np.zeros((2, 2), dtype=np.float32))
+        raw = bytearray(path.read_bytes() + b"\x00" * extra)
+        struct.pack_into("<QQ", raw, 8, rows, cols)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="payload holds"):
+            read_tensor(path)
+
+    def test_read_peak_memory(self, tmp_path):
+        # the payload is read into the result: no whole-file bytes, no
+        # slice of them and no converted copy
+        m = np.ones((512, 512), dtype=np.float32)
+        path = tmp_path / "m.lqt"
+        write_tensor(path, m)
+        tracemalloc.start()
+        try:
+            back = read_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, m)
+        assert peak <= 1.5 * m.nbytes
 
     def test_bad_version(self, tmp_path):
         m = np.zeros((2, 2), dtype=np.float32)
