@@ -104,7 +104,7 @@ class SweepTable:
     @property
     def storage_bits(self) -> list:
         """Exact rational bit costs: storage_bits[i][c] = sizes[i] * bits(c)."""
-        costs, denom = _storage_costs(self)
+        costs, denom = _storage_costs(self.configs)
         return [[Fraction(int(size) * k, denom) for k in costs] for size in self.sizes]
 
     def to_json(self) -> dict:
@@ -151,7 +151,7 @@ class SweepTable:
             raise FormatError(f"malformed sweep table: {exc}") from None
 
 
-def _storage_costs(table: SweepTable):
+def _storage_costs(configs):
     """The one derivation of storage costs from sizes and configs.
 
     Returns (costs, denom): integer per-parameter costs[c] equal to
@@ -160,7 +160,7 @@ def _storage_costs(table: SweepTable):
     sizes[i] * costs[c]; an integer total of those fits a budget exactly
     when it is <= floor(budget * denom).
     """
-    per_param = [storage_bits_ratio(cfg) for cfg in table.configs]
+    per_param = [storage_bits_ratio(cfg) for cfg in configs]
     denom = math.lcm(*(den for _, den in per_param))
     return [num * (denom // den) for num, den in per_param], denom
 
@@ -286,13 +286,28 @@ def sweep(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
 # exact multiple-choice knapsack
 # ---------------------------------------------------------------------------
 
-def _scaled_budget(table: SweepTable, budget_bits):
-    """The preamble both solvers share: validate, then scale the budget.
+def _fitting_budget(sizes, configs, budget_bits):
+    """Scale the budget to integer costs, checking that anything fits.
 
     Returns (budget, costs, denom, cap) with the per-parameter integer
     costs of `_storage_costs`: a total of sizes[i] * costs[c] fits the
     exact budget when it is <= cap.  Raises InfeasibleBudgetError if the
-    cheapest config of every matrix together does not fit.
+    cheapest config of every matrix together does not fit.  Only storage
+    enters, so this can run before any error is known.
+    """
+    budget = Fraction(budget_bits)
+    costs, denom = _storage_costs(configs)
+    cap = math.floor(budget * denom)
+    min_storage = min(costs) * sum(int(size) for size in sizes)
+    if min_storage > cap:
+        raise InfeasibleBudgetError(budget, Fraction(min_storage, denom))
+    return budget, costs, denom, cap
+
+
+def _scaled_budget(table: SweepTable, budget_bits):
+    """The preamble both solvers share: validate the table, then scale the budget.
+
+    Returns `_fitting_budget` of the table's sizes and configs.
     """
     n, c = table.errors.shape
     if n != len(table.sizes) or c != len(table.configs):
@@ -303,13 +318,7 @@ def _scaled_budget(table: SweepTable, budget_bits):
         raise ValueError("sweep table has unswept cells")
     if not np.all(np.isfinite(table.errors)):
         raise ValueError("sweep table errors must be finite")
-    budget = Fraction(budget_bits)
-    costs, denom = _storage_costs(table)
-    cap = math.floor(budget * denom)
-    min_storage = min(costs) * sum(int(size) for size in table.sizes)
-    if min_storage > cap:
-        raise InfeasibleBudgetError(budget, Fraction(min_storage, denom))
-    return budget, costs, denom, cap
+    return _fitting_budget(table.sizes, table.configs, budget_bits)
 
 
 def _integer_errors(errors):
@@ -606,10 +615,15 @@ def lq_lora_init(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
     each final decomposition recomputes its sweep cell through
     `_decompose_cell`, so result errors equal the table entries.
     """
+    if grid is None:
+        raise ValueError("a config grid is required")
+    sizes = [int(np.size(m)) for m in matrices]
+    budget_bits = Fraction(budget_bits_per_param) * sum(sizes)
+    # storage alone decides feasibility: no cell is swept for a budget
+    # that nothing fits
+    _fitting_budget(sizes, grid.configs, budget_bits)
     table = sweep(matrices, fishers, grid, rank, seed=seed, workers=workers,
                   method=method, max_iters=max_iters)
-    total_params = sum(table.sizes)
-    budget_bits = Fraction(budget_bits_per_param) * total_params
     solution = solve_mckp(table, budget_bits)
     results = [_decompose_cell(matrices, fishers, table.configs, rank, seed, method, max_iters, i, ci)
                for i, ci in enumerate(solution.assignment)]

@@ -82,10 +82,12 @@ def _fraction_list(text: str) -> list:
     return [_fraction(part) for part in text.split(",")]
 
 
-def _workers_default(value):
-    if value is not None:
-        return value
-    return int(os.environ.get("LQDEC_WORKERS", "1"))
+def _workers_default(value) -> int:
+    """--workers, else LQDEC_WORKERS, else 1; a count below 1 is a usage error."""
+    workers = int(os.environ.get("LQDEC_WORKERS", "1")) if value is None else value
+    if workers < 1:
+        raise UsageError(f"worker count must be at least 1, got {workers}")
+    return workers
 
 
 def _atomic_write_json(path: Path, payload):
@@ -130,13 +132,29 @@ def _load_grid(path) -> ConfigGrid:
     return ConfigGrid(configs=tuple(QuantConfig(*row) for row in rows))
 
 
-def _read_table(path) -> SweepTable:
+def _read_json(path, what: str):
+    """A JSON file's payload; FormatError naming the file if it is not JSON."""
     with open(path) as fh:
         try:
-            payload = json.load(fh)
+            return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(f"{path}: not a JSON sweep table: {exc}") from None
-    return SweepTable.from_json(payload)
+            raise FormatError(f"{path}: not a JSON {what}: {exc}") from None
+
+
+def _read_table(path) -> SweepTable:
+    return SweepTable.from_json(_read_json(path, "sweep table"))
+
+
+def _previous_params(manifest: Path):
+    """The params a sweep manifest records; FormatError unless it is a JSON object."""
+    try:
+        payload = _read_json(manifest, "manifest")
+        if not isinstance(payload, dict):
+            raise FormatError(f"{manifest}: a manifest is a JSON object, "
+                              f"not {type(payload).__name__}")
+    except FormatError as exc:
+        raise FormatError(f"{exc}; pass --fresh to discard the partial sweep") from None
+    return payload.get("params")
 
 
 def _sha256(path) -> str:
@@ -152,12 +170,18 @@ def _write_split(prefix: Path, res) -> list:
     return paths
 
 
-def _load_fishers(paths, count):
+def _load_fishers(paths, matrices):
+    """One importance matrix per input matrix, each of its matrix's shape."""
     if not paths:
         return None
-    if len(paths) != count:
-        raise UsageError(f"expected {count} fisher files, got {len(paths)}")
-    return [read_fisher(p) for p in paths]
+    if len(paths) != len(matrices):
+        raise UsageError(f"expected {len(matrices)} fisher files, got {len(paths)}")
+    fishers = [read_fisher(p) for p in paths]
+    for path, f, m in zip(paths, fishers, matrices):
+        if f.shape != m.shape:
+            raise UsageError(f"{path}: importance shape {f.shape} does not match "
+                             f"matrix shape {m.shape}")
+    return fishers
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +287,15 @@ def cmd_sweep(args) -> int:
     start = time.perf_counter()
     grid = _load_grid(args.grid)
     matrices = [read_tensor(p) for p in args.inputs]
-    fishers = _load_fishers(args.fisher, len(matrices))
+    fishers = _load_fishers(args.fisher, matrices)
+    workers = _workers_default(args.workers)
     out = Path(args.output)
     params = _sweep_params(args, grid)
 
     errors_init = None
     manifest = _manifest_path(out)
     if out.exists() and manifest.exists() and not args.fresh:
-        with open(manifest) as fh:
-            previous = json.load(fh)
-        if previous.get("params") == params:
+        if _previous_params(manifest) == params:
             errors_init = _read_table(out).errors
             done = int(np.sum(~np.isnan(errors_init)))
             print(f"resuming: {done}/{errors_init.size} cells already swept")
@@ -284,7 +307,7 @@ def cmd_sweep(args) -> int:
         _atomic_write_json(out, table.to_json())
 
     table = sweep(matrices, fishers, grid, args.rank, seed=args.seed,
-                  workers=_workers_default(args.workers), method=args.method,
+                  workers=workers, method=args.method,
                   max_iters=args.max_iters, errors_init=errors_init, on_row=flush)
     _atomic_write_json(out, table.to_json())
     _write_manifest(out, "sweep", params, args.inputs, [out],
@@ -318,7 +341,8 @@ def cmd_init(args) -> int:
     start = time.perf_counter()
     grid = _load_grid(args.grid)
     matrices = [read_tensor(p) for p in args.inputs]
-    fishers = _load_fishers(args.fisher, len(matrices))
+    fishers = _load_fishers(args.fisher, matrices)
+    workers = _workers_default(args.workers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = _sweep_params(args, grid)
@@ -327,8 +351,7 @@ def cmd_init(args) -> int:
     results, solution, table = lq_lora_init(
         matrices, fishers, grid, args.rank,
         budget_bits_per_param=args.budget_bits_per_param, seed=args.seed,
-        workers=_workers_default(args.workers), method=args.method,
-        max_iters=args.max_iters,
+        workers=workers, method=args.method, max_iters=args.max_iters,
     )
 
     outputs = [out_dir / "table.json", out_dir / "solution.json"]

@@ -69,23 +69,23 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
         raise ValueError("expected a 2-d matrix")
     if not np.all(np.isfinite(w32)):
         raise ValueError("matrix entries must be finite")
-    w64 = w32.astype(np.float64)
     if f is not None:
         # checked and rooted once: every factorization and error reuses it
         f = fisher_scalers(f)
 
-    reference = weighted_error(w64, None, None, f)
-    # r is the residual W - dequantize(Q) the next factorization splits.
-    # Only the dequantized values drive the loop; the packed container is
-    # built once, for the best iterate, after the loop.
-    r = w64 - dequantize(quantize_nf(w32, cfg)) if init == "quantize" else w64
+    # W is held once, in float32; each difference with it is formed in
+    # float64.  r, the residual W - dequantize(Q) the next factorization
+    # splits, is one buffer that every iteration rewrites.
+    reference = weighted_error(w32, None, None, f)
+    r = w32.astype(np.float64) if init == "zero" else np.subtract(
+        w32, dequantize(quantize_nf(w32, cfg)), dtype=np.float64)
 
     trace: list[float] = []
-    best = None
+    best = chosen = None  # the least-error iterate's (pack, factors), index
     prev = np.inf
     reason = REASON_MAX_ITERS
     fac = None
-    spare = np.empty_like(w32)
+    target = np.empty_like(w32)
     for t in range(1, max_iters + 1):
         fac = factorize(r, f, rank, method=method, seed=derive_seed(seed, t),
                         start=None if fac is None else fac.l2)
@@ -95,16 +95,17 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
         )
         prod = fac.product()
         # the float64 difference, rounded once to float32
-        target = np.subtract(w64, prod, out=spare)
-        r = w64 - quantize_values(target, cfg)
+        np.subtract(w32, prod, out=target)
+        # one encode: the winner is packed from the codes it was scored with
+        deq, pack = quantize_values(target, cfg)
+        np.subtract(w32, deq, out=r, dtype=np.float64)
+        del deq
         # (W - deq) - prod, in that order, into prod's buffer
         eps = weighted_error(np.subtract(r, prod, out=prod), None, None, f)
         del prod  # freed before the next factorization
         trace.append(eps)
-        if best is None or eps < best[0]:
-            # the displaced best's buffer takes the next target
-            spare = np.empty_like(w32) if best is None else best[1]
-            best = (eps, target, fac)
+        if best is None or eps < trace[chosen]:
+            best, chosen = (pack, fac), t - 1
         if eps <= ZERO_ERROR_RTOL * reference:
             reason = REASON_ZERO
             break
@@ -113,10 +114,9 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
             break
         prev = eps
 
-    chosen = int(np.argmin(trace))
     return LQResult(
-        q=quantize_nf(best[1], cfg),
-        factors=best[2],
+        q=best[0](),
+        factors=best[1],
         error_trace=trace,
         chosen_iteration=chosen,
         converged_reason=reason,

@@ -245,9 +245,9 @@ def nearest_level_codes(normalized, codebook) -> np.ndarray:
 def _encode(m, cfg: QuantConfig):
     """Unpacked codes of a float32 matrix under one config.
 
-    Returns (shape, entry codes, scale codes, group scales, per-block
-    scales), the codes as flat uint8 arrays and the per-block scales in
-    float64, as `_block_scales` reconstructs them.
+    Returns (shape, entry codes, per-block scales, pack): flat uint8
+    codes, float64 scales as `_block_scales` reconstructs them, and
+    ``pack()``, the one packing path, building the container of the codes.
     """
     a = np.ascontiguousarray(m, dtype=np.float32)
     if a.ndim != 2 or a.size == 0:
@@ -276,7 +276,12 @@ def _encode(m, cfg: QuantConfig):
     # quantize/dequantize round trips are byte-stable.
     shat = _block_scales(s_codes, scales, cfg)
     codes[shat == 0.0] = cb.zero_index
-    return a.shape, codes.reshape(-1)[:a.size], s_codes, scales, shat
+    shape, codes = a.shape, codes.reshape(-1)[:a.size]
+
+    def pack() -> QuantizedMatrix:
+        return QuantizedMatrix(*shape, cfg, pack_bits(codes, cfg.b0),
+                               pack_bits(s_codes, cfg.b1), scales)
+    return shape, codes, shat, pack
 
 
 def _decode(shape, codes: np.ndarray, shat: np.ndarray, cfg: QuantConfig) -> np.ndarray:
@@ -292,23 +297,16 @@ def _decode(shape, codes: np.ndarray, shat: np.ndarray, cfg: QuantConfig) -> np.
 
 def quantize_nf(m, cfg: QuantConfig) -> QuantizedMatrix:
     """Quantize a float32 matrix to NormalFloat codes with coded scales."""
-    (rows, cols), codes, s_codes, scales, _ = _encode(m, cfg)
-    return QuantizedMatrix(
-        rows=rows,
-        cols=cols,
-        config=cfg,
-        codes=pack_bits(codes, cfg.b0),
-        s_codes=pack_bits(s_codes, cfg.b1),
-        group_scales=scales,
-    )
+    return _encode(m, cfg)[-1]()
 
 
-def quantize_values(m, cfg: QuantConfig) -> np.ndarray:
-    """Exactly ``dequantize(quantize_nf(m, cfg))``, without packing codes."""
+def quantize_values(m, cfg: QuantConfig):
+    """One encode as ``(values, pack)``: values exactly equal to
+    ``dequantize(quantize_nf(m, cfg))``, ``pack()`` that container."""
     # _encode returns before decoding, so its float64 temporaries are
     # freed before the decode allocates its own.
-    shape, codes, _, _, shat = _encode(m, cfg)
-    return _decode(shape, codes, shat, cfg)
+    shape, codes, shat, pack = _encode(m, cfg)
+    return _decode(shape, codes, shat, cfg), pack
 
 
 def _block_scales(s_codes: np.ndarray, group_scales: np.ndarray, cfg: QuantConfig) -> np.ndarray:

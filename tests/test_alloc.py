@@ -678,6 +678,24 @@ class TestLqLoraInit:
         assert tight.total_storage_bits <= Fraction(5, 2) * (32 * 32 * 2)
         assert tight.total_error >= generous.total_error
 
+    def test_infeasible_budget_raises_before_sweeping(self, monkeypatch):
+        # storage alone rules the budget out, so no cell may be decomposed
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lq_decompose(*args, **kwargs)
+
+        monkeypatch.setattr("lqdec.alloc.lq_decompose", counted)
+        mats = [gen_matrix("gaussian", 32, 32, seed=s) for s in (0, 1)]
+        grid = default_grid()
+        with pytest.raises(InfeasibleBudgetError) as exc_info:
+            lq_lora_init(mats, None, grid, rank=2, budget_bits_per_param=1, max_iters=3)
+        assert calls == []
+        cheapest = min(storage_bits_per_param(c) for c in grid.configs)
+        assert exc_info.value.min_storage_bits == cheapest * 2 * 32 * 32
+        assert exc_info.value.budget_bits == 2 * 32 * 32
+
 
 class TestStorageReport:
     def test_7b_accounting(self):

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from lqdec import alloc, cli
-from lqdec.quant import read_quantized, dequantize
-from lqdec.tensor_io import read_tensor
+from lqdec.quant import QuantConfig, read_quantized, dequantize
+from lqdec.tensor_io import read_fisher, read_tensor
 
 
 def run(capsys, *argv):
@@ -156,6 +156,54 @@ class TestExitCodes:
         table.write_text(table.read_text()[:-20])
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("format error: ")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "garbage{"], ids=["not-an-object", "not-json"])
+    def test_malformed_manifest_on_resume(self, tmp_path, capsys, text):
+        m = make_matrix(tmp_path, "m.lqt")
+        grid = write_grid(tmp_path, SMALL_GRID)
+        table = tmp_path / "table.json"
+        manifest = tmp_path / "table.manifest.json"
+        argv = ["sweep", str(m), "-o", str(table), "--grid", str(grid)]
+        assert cli.main(argv) == 0
+        manifest.write_text(text)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ")
+        assert str(manifest) in err and "--fresh" in err
+        assert manifest.read_text() == text
+        assert cli.main(argv + ["--fresh"]) == 0
+
+    def test_misshapen_fisher_leaves_no_output(self, tmp_path, capsys):
+        m = make_matrix(tmp_path, "m.lqt", rows=16, cols=16)
+        f = tmp_path / "f.lqt"
+        assert cli.main(["gen", "fisher", str(f), "--kind", "uniform",
+                         "--rows", "8", "--cols", "16"]) == 0
+        table = tmp_path / "t.json"
+        for argv in (["sweep", str(m), "-o", str(table)],
+                     ["init", str(m), "--out-dir", str(tmp_path / "init"),
+                      "--budget-bits-per-param", "4"]):
+            assert cli.main(argv + ["--fisher", str(f)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and str(f) in err
+        assert not table.exists()
+        assert not (tmp_path / "t.manifest.json").exists()
+        assert not (tmp_path / "init").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_worker_count_below_one(self, tmp_path, monkeypatch, capsys, count):
+        m = make_matrix(tmp_path, "m.lqt")
+        grid = write_grid(tmp_path, SMALL_GRID)
+        table = tmp_path / "t.json"
+        argv = ["sweep", str(m), "-o", str(table), "--grid", str(grid)]
+        assert cli.main(argv + ["--workers", count]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        monkeypatch.setenv("LQDEC_WORKERS", count)
+        assert cli.main(argv) == 1
+        assert cli.main(["init", str(m), "--out-dir", str(tmp_path / "init"),
+                         "--grid", str(grid), "--budget-bits-per-param", "4"]) == 1
+        assert not table.exists()
+        assert not (tmp_path / "t.manifest.json").exists()
+        assert not (tmp_path / "init").exists()
 
 
 class TestGen:
@@ -346,6 +394,17 @@ class TestSweep:
         assert cli.main(self.sweep_argv(m, parallel, grid)) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_workers_flag(self, tmp_path, monkeypatch, capsys):
+        m = make_matrix(tmp_path, "m.lqt")
+        grid = write_grid(tmp_path, SMALL_GRID)
+        monkeypatch.setenv("LQDEC_WORKERS", "3")  # the flag takes precedence
+        tables = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.json"
+            assert cli.main(self.sweep_argv(m, out, grid) + ["--workers", workers]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_fisher_count_mismatch(self, tmp_path, capsys):
         a = make_matrix(tmp_path, "a.lqt")
         b = make_matrix(tmp_path, "b.lqt", seed=1)
@@ -442,6 +501,35 @@ class TestInit:
             rebuilt = dequantize(q) + l1.astype(np.float64) @ l2.astype(np.float64)
             err = float(np.linalg.norm(w - rebuilt))
             assert err == pytest.approx(entry["error"], rel=1e-9)
+
+    def test_fisher_weighted(self, tmp_path, capsys):
+        mats = [make_matrix(tmp_path, f"{i}.lqt", rows=16, cols=16, seed=i)
+                for i in range(2)]
+        fishers = []
+        for i, kind in enumerate(("separable", "random-nonneg")):
+            fishers.append(tmp_path / f"f{i}.lqt")
+            assert cli.main(["gen", "fisher", str(fishers[-1]), "--kind", kind,
+                             "--rows", "16", "--cols", "16", "--seed", str(i)]) == 0
+        grid_rows = SMALL_GRID + [[4, 8, "fp32", 16, 64]]
+        grid = write_grid(tmp_path, grid_rows)
+        out_dir = tmp_path / "init"
+        code, _ = run(capsys, "init", *map(str, mats), "--out-dir", str(out_dir),
+                      "--budget-bits-per-param", "3.0", "--grid", str(grid),
+                      "--rank", "2", "--seed", "5", "--max-iters", "4",
+                      *(arg for f in fishers for arg in ("--fisher", str(f))))
+        assert code == 0
+
+        results, solution, table = alloc.lq_lora_init(
+            [read_tensor(p) for p in mats], [read_fisher(f) for f in fishers],
+            alloc.ConfigGrid(tuple(QuantConfig(*row) for row in grid_rows)), 2,
+            budget_bits_per_param=Fraction(3), seed=5, max_iters=4)
+        written = json.loads((out_dir / "table.json").read_text())
+        assert written["fisher_weighted"] is True
+        assert written == table.to_json()
+        assert json.loads((out_dir / "solution.json").read_text()) == solution.to_json()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["params"]["fishers"] == [str(f) for f in fishers]
+        assert [entry["error"] for entry in manifest["matrices"]] == [r.error for r in results]
 
 
 class TestReport:

@@ -276,7 +276,7 @@ class TestQuantizeNF:
         w = (rng.standard_normal((rows, cols)) * rng.uniform(1e-3, 1e3)).astype(np.float32)
         w[[r for r in zero_rows if r < rows]] = 0.0
         cfg = QuantConfig(b0, b1, b2, B0, B1)
-        fused = quantize_values(w, cfg)
+        fused = quantize_values(w, cfg)[0]
         reference = dequantize(quantize_nf(w, cfg))
         assert fused.dtype == reference.dtype and fused.shape == reference.shape
         assert fused.tobytes() == reference.tobytes()
@@ -367,7 +367,7 @@ class TestMatchesReferenceEncoder:
         assert q.codes == pack_bits(codes, b0)
         assert q.s_codes == pack_bits(s_codes, b1)
         assert q.group_scales.tobytes() == scales.tobytes()
-        assert quantize_values(w, cfg).tobytes() == values.tobytes()
+        assert quantize_values(w, cfg)[0].tobytes() == values.tobytes()
         assert dequantize(q).tobytes() == values.tobytes()
 
     @given(
@@ -460,7 +460,7 @@ class TestMatchesPerEntryKernels:
             assert q.codes == pack_bits(codes, cfg.b0), cfg
             assert q.s_codes == pack_bits(s_codes, cfg.b1), cfg
             assert q.group_scales.tobytes() == scales.tobytes(), cfg
-            assert quantize_values(w, cfg).tobytes() == values.tobytes(), cfg
+            assert quantize_values(w, cfg)[0].tobytes() == values.tobytes(), cfg
             assert dequantize(q).tobytes() == values.tobytes(), cfg
 
 
@@ -526,7 +526,7 @@ class TestContainer:
         back = read_quantized(path)
         assert back.config == cfg
         assert np.array_equal(dequantize(back), dequantize(exact))
-        assert np.array_equal(quantize_values(w, cfg), dequantize(exact))
+        assert np.array_equal(quantize_values(w, cfg)[0], dequantize(exact))
 
     @pytest.mark.parametrize("fmt", ["fp32", "fp16", "bf16"])
     def test_scale_serialization_exact(self, tmp_path, fmt):
