@@ -1,19 +1,24 @@
 """Time the exact allocator on synthetic model-scale sweep tables.
 
-The tables stand in for a sweep of the first N linear layers of the
-`llama2-7b-linear` preset over the default 243-config grid.  Error
-(i, c) is the quantize-only relative squared error of one seeded 128x128
-gaussian matrix under config c, times the size of matrix i, a lognormal
-per-matrix scale and 2% lognormal per-config noise, all drawn from
-`--seed`, so the same arguments always build the same table.  Each budget
-is solved once and printed as one JSON line: the time, the search's
-nodes and LP bounds, the root LP bound and the process's peak RSS so far.
+The tables stand in for a sweep of the first N linear layers of a model
+preset (`--preset`, `llama2-7b-linear` by default) over the default
+243-config grid.  Error (i, c) is the quantize-only relative squared
+error of one seeded 128x128 gaussian matrix under config c, times the
+size of matrix i, a lognormal per-matrix scale and 2% lognormal
+per-config noise, all drawn from `--seed`, so the same arguments always
+build the same table.  Each budget is solved once and printed as one
+JSON line: the time, the search's nodes and LP bounds, the root LP bound,
+the process's peak RSS so far and `assignment_sha256`, the SHA-256 of the
+assignment as a JSON list, so two versions of the solver can be shown to
+return the same assignment.
 
 Example:
     python3 scripts/solver_scale.py --matrices 224 --budgets 2.5,2.75,3.0,3.25
+    python3 scripts/solver_scale.py --preset llama2-70b-linear --matrices 560 --budgets 2.75
 """
 
 import argparse
+import hashlib
 import json
 import resource
 import time
@@ -22,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from lqdec import (
+    PRESET_NAMES,
     SweepTable,
     default_grid,
     dequantize,
@@ -31,22 +37,23 @@ from lqdec import (
     solve_mckp,
 )
 
-PRESET = "llama2-7b-linear"
 PROBE_SIDE = 128
 
 
 def parse_args():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--preset", choices=PRESET_NAMES, default="llama2-7b-linear",
+                        help="the model whose linear layers the table stands in for")
     parser.add_argument("--matrices", type=int, default=28,
-                        help=f"how many of the {PRESET} shapes to allocate over")
+                        help="how many of the preset's shapes to allocate over")
     parser.add_argument("--budgets", default="2.5,2.75,3.0,3.25",
                         help="comma list of bits-per-param budgets")
     parser.add_argument("--seed", type=int, default=0)
     return parser.parse_args()
 
 
-def synthetic_table(n, seed):
-    shapes = model_preset(PRESET).shapes()
+def synthetic_table(preset, n, seed):
+    shapes = model_preset(preset).shapes()
     if not 1 <= n <= len(shapes):
         raise SystemExit(f"--matrices must be in 1..{len(shapes)}, got {n}")
     configs = list(default_grid().configs)
@@ -64,7 +71,7 @@ def synthetic_table(n, seed):
 
 def main():
     args = parse_args()
-    table = synthetic_table(args.matrices, args.seed)
+    table = synthetic_table(args.preset, args.matrices, args.seed)
     params = sum(table.sizes)
     for text in args.budgets.split(","):
         bits = Fraction(text.strip())
@@ -72,6 +79,7 @@ def main():
         sol = solve_mckp(table, bits * params)
         seconds = time.perf_counter() - start
         print(json.dumps({
+            "preset": args.preset,
             "matrices": args.matrices,
             "budget_bits_per_param": str(bits),
             "seed": args.seed,
@@ -81,6 +89,7 @@ def main():
             "total_error": sol.total_error,
             "lp_bound": sol.lp_bound,
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "assignment_sha256": hashlib.sha256(json.dumps(sol.assignment).encode()).hexdigest(),
         }), flush=True)
 
 

@@ -14,7 +14,10 @@ the float table; only the surviving cells become ints.  Before branching,
 a root Lagrangian reduction drops every candidate whose bound, with the
 multiplier of the root LP, already reaches the greedy incumbent: the
 search would prune it at every node, so the nodes stay the same and only
-the bounds evaluated fall.
+the bounds evaluated fall.  The search itself leaves a class as soon as
+its next candidate's error, plus the least error the classes below can
+reach, meets the incumbent: candidates come error-ascending, so every
+later one would be pruned too.
 
 The search is exact in integers from start to finish: storage costs are
 scaled by the common denominator of the grid, and errors by the common
@@ -161,7 +164,7 @@ def _storage_costs(configs):
     when it is <= floor(budget * denom).
     """
     per_param = [storage_bits_ratio(cfg) for cfg in configs]
-    denom = math.lcm(*(den for _, den in per_param))
+    denom = math.lcm(*{den for _, den in per_param})
     return [num * (denom // den) for num, den in per_param], denom
 
 
@@ -314,9 +317,9 @@ def _scaled_budget(table: SweepTable, budget_bits):
         raise ValueError("inconsistent sweep table dimensions")
     if c == 0:
         raise ValueError("sweep table has no configs to choose from")
-    if np.isnan(table.errors).any():
-        raise ValueError("sweep table has unswept cells")
-    if not np.all(np.isfinite(table.errors)):
+    if not np.isfinite(table.errors).all():
+        if np.isnan(table.errors).any():
+            raise ValueError("sweep table has unswept cells")
         raise ValueError("sweep table errors must be finite")
     return _fitting_budget(table.sizes, table.configs, budget_bits)
 
@@ -349,21 +352,23 @@ def _dominance(errors, costs):
     """
     c = len(costs)
     perm = sorted(range(c), key=costs.__getitem__)
-    starts = [g for g in range(c) if g == 0 or costs[perm[g]] != costs[perm[g - 1]]]
+    edges = [g for g in range(c) if g == 0 or costs[perm[g]] != costs[perm[g - 1]]] + [c]
+    perm, starts = np.array(perm), np.array(edges[:-1])
     e = errors[:, perm]
     least = np.minimum.reduceat(e, starts, axis=1)
-    at_least = e == np.repeat(least, np.diff(starts + [c]), axis=1)
+    at_least = e == np.repeat(least, np.diff(edges), axis=1)
     first = np.minimum.reduceat(np.where(at_least, np.arange(c), c), starts, axis=1)
     keep = np.ones(least.shape, dtype=bool)
     keep[:, 1:] = least[:, 1:] < np.minimum.accumulate(least, axis=1)[:, :-1]
-    return np.asarray(perm)[first], keep
+    return perm[first], keep
 
 
 def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
     """Exact minimum-error assignment under a total bit budget.
 
     Branch and bound over matrices ordered by error spread, candidates
-    ordered best-error-first, pruned against the LP-relaxation bound.
+    ordered best-error-first, pruned against the LP-relaxation bound; a
+    class is left once its remaining candidates cannot beat the incumbent.
     All search arithmetic is on the ints of `_storage_costs` and
     `_integer_errors`, so every prune is exact.  The solution reports the
     search nodes visited, the LP bounds evaluated and the root LP bound.
@@ -371,6 +376,7 @@ def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
     budget, costs, denom, cap = _scaled_budget(table, budget_bits)
     sizes = [int(size) for size in table.sizes]
     n = len(sizes)
+    mats = np.arange(n)
 
     picks, keep = _dominance(table.errors, costs)
     counts = keep.sum(axis=1)
@@ -383,14 +389,14 @@ def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
     greedy_best = cols[ends - 1].tolist()
     storage = sum(size * costs[j] for size, j in zip(sizes, greedy_best))
     if storage <= cap:
-        solution = _finish_solution(table, greedy_best, budget, storage, denom, nodes=0, bounds=0)
+        e_int, scale = _integer_errors(table.errors[mats, greedy_best])
+        solution = _solution(greedy_best, sum(e_int), scale, budget, storage, denom, nodes=0, bounds=0)
         solution.lp_bound = solution.total_error
         return solution
 
     # Process classes with the widest error spread first.  The order only
     # steers the search; it stays the float spread of the table so that
     # tied optima resolve as they always have.
-    mats = np.arange(n)
     spread = table.errors[mats, cols[ends - counts]] - table.errors[mats, cols[ends - 1]]
     order = sorted(range(n), key=spread.tolist().__getitem__, reverse=True)
 
@@ -402,8 +408,9 @@ def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
                for size, lo, hi in zip(sizes, (ends - counts).tolist(), ends.tolist())]
     classes = [classes[i] for i in order]
     hulls = [_class_hull(items) for items in classes]
-    candidates = [sorted(items, key=lambda t: (t[1], t[0])) for items in classes]
-    increments = _hull_increments(hulls)
+    base = [hull[0][0] for hull in hulls]
+    candidates = [sorted(items, key=operator.itemgetter(1, 0)) for items in classes]
+    increments = _hull_increments(hulls, scale)
 
     # Per depth d, the LP relaxation of classes d.. as prefix lists over
     # their increments in efficiency order: taking the first k increments
@@ -437,60 +444,68 @@ def solve_mckp(table: SweepTable, budget_bits) -> AllocSolution:
     # for the candidate, so one reaching the incumbent would be pruned at
     # every node it is tried from: dropping it keeps the nodes visited and
     # their order, and saves only their bounds.
-    room = cap - sum(hull[0][0] for hull in hulls)
+    free = cap - sum(base)
     for ds, de, _ in increments:
-        if ds > room:
+        if ds > free:
             break
-        room -= ds
+        free -= ds
     low = [min(ds * e + de * s for s, e, _ in hull) for hull in hulls]
     root = sum(low) - de * cap
     candidates = [[t for t in items if ds * t[1] + de * t[0] < limit]
                   for items, limit in zip(candidates, (ds * incumbent - root + lo for lo in low))]
 
     # Depth-first search with an explicit stack of candidate iterators;
-    # spare[d] is the capacity left above the cheapest configs of classes
-    # d.. by the choices above depth d.  A candidate leaving capacity rem
-    # to the classes below is pruned when its error plus their LP bound,
+    # room[d] is the capacity left for class d's candidate by the choices
+    # above it and the cheapest configs of the classes below.  A candidate
+    # leaving capacity rem to the classes below is pruned when its error
+    # plus their LP bound,
     #     err + lp[k] - (lp[k] - lp[k+1]) * (rem - ps[k]) / (ps[k+1] - ps[k]),
-    # is at least the incumbent: cross-multiplied, in ints.  A leaf that
-    # survives is strictly better than the incumbent.
+    # is at least the incumbent: cross-multiplied, in ints.  That bound is
+    # never below floor[d], the sum of their least hull errors, and a
+    # class's candidates come error-ascending, so once err + e + floor[d]
+    # reaches the incumbent every later candidate is pruned too and the
+    # search leaves the class.  A leaf that survives is strictly better
+    # than the incumbent, and no later candidate of its class can be.
+    floor = [prefix[d + 1][1][-1] for d in range(n)]
     chosen = [0] * n
-    spare = [cap - sum(hull[0][0] for hull in hulls)] + [0] * (n - 1)
+    room = [cap - sum(base[1:])] + [0] * (n - 1)
     err = [0] * n
     pending = [iter(candidates[0])] + [None] * (n - 1)
     nodes, bounds = 1, 0
     depth = 0
     while depth >= 0:
         ps, lp = prefix[depth + 1]
-        room = spare[depth] + hulls[depth][0][0]
+        gap = incumbent - err[depth]
+        limit = gap - floor[depth]
+        here, below, next_depth = room[depth], depth + 1, depth - 1
         for s, e, j in pending[depth]:
-            rem = room - s
+            if e >= limit:
+                break
+            rem = here - s
             if rem < 0:
                 continue
             bounds += 1
-            new_err = err[depth] + e
             k = bisect.bisect_right(ps, rem) - 1
-            if (new_err + lp[k] - incumbent) * (ps[k + 1] - ps[k]) >= (lp[k] - lp[k + 1]) * (rem - ps[k]):
+            if (e + lp[k] - gap) * (ps[k + 1] - ps[k]) >= (lp[k] - lp[k + 1]) * (rem - ps[k]):
                 continue
             nodes += 1
             chosen[depth] = j
-            if depth + 1 == n:
-                best, incumbent = list(chosen), new_err
-                continue
-            depth += 1
-            spare[depth] = rem
-            err[depth] = new_err
-            pending[depth] = iter(candidates[depth])
+            if below == n:
+                best, incumbent = list(chosen), err[depth] + e
+                break
+            room[below] = rem + base[below]
+            err[below] = err[depth] + e
+            pending[below] = iter(candidates[below])
+            next_depth = below
             break
-        else:
-            depth -= 1
+        depth = next_depth
 
     assignment = [0] * n
     for d, i in enumerate(order):
         assignment[i] = best[d]
     storage = sum(size * costs[j] for size, j in zip(sizes, assignment))
-    return _finish_solution(table, assignment, budget, storage, denom,
-                            nodes=nodes, bounds=bounds, lp_bound=root / (ds * scale))
+    return _solution(assignment, incumbent, scale, budget, storage, denom,
+                     nodes=nodes, bounds=bounds, lp_bound=root / (ds * scale))
 
 
 def _class_hull(items):
@@ -519,19 +534,22 @@ def _by_efficiency(a, b):
     return (b[1] * a[0] - a[1] * b[0]) or (a[2] - b[2])
 
 
-def _hull_increments(hulls):
+def _hull_increments(hulls, scale):
     """Upgrade increments of all class hulls, globally sorted.
 
     Returns (delta_storage, delta_error, class_idx) sorted by efficiency
     delta_error / delta_storage descending, compared exactly.  Efficiency
     strictly decreases along each hull, so each class's steps stay in
-    sequence.
+    sequence.  A sort on the float efficiency (errors over `scale`, so it
+    stays finite) comes first: it leaves the list in or near exact order,
+    where the exact sort makes about one comparison per increment.
     """
     increments = [
         (s1 - s0, e0 - e1, cls)
         for cls, hull in enumerate(hulls)
         for (s0, e0, _), (s1, e1, _) in zip(hull, hull[1:])
     ]
+    increments.sort(key=lambda t: (-t[1] / (t[0] * scale), t[2]))
     increments.sort(key=functools.cmp_to_key(_by_efficiency))
     return increments
 
@@ -558,13 +576,13 @@ def _greedy_incumbent(hulls, increments, cap):
     return [j for _, _, j in picks], sum(e for _, e, _ in picks)
 
 
-def _finish_solution(table: SweepTable, assignment, budget: Fraction, storage: int, denom: int,
-                     **search) -> AllocSolution:
-    e_int, scale = _integer_errors(table.errors[np.arange(len(assignment)), assignment])
+def _solution(assignment, error: int, scale: int, budget: Fraction, storage: int, denom: int,
+              **search) -> AllocSolution:
+    """An exact solution: its total error is error / scale, its storage storage / denom."""
     return AllocSolution(
         assignment=list(assignment),
-        # int / int rounds correctly, as float(Fraction(sum(e_int), scale))
-        total_error=sum(e_int) / scale,
+        # int / int rounds correctly, as float(Fraction(error, scale))
+        total_error=error / scale,
         total_storage_bits=Fraction(storage, denom),
         budget_bits=budget,
         optimal=True,
@@ -586,7 +604,7 @@ def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GU
     n, c = table.errors.shape
     if c ** n > guard:
         raise ValueError(f"instance size {c}**{n} exceeds the brute-force guard {guard}")
-    e_flat, _ = _integer_errors(table.errors)
+    e_flat, scale = _integer_errors(table.errors)
     e_int = [e_flat[i * c:(i + 1) * c] for i in range(n)]
 
     best_error = best_assign = None
@@ -598,7 +616,7 @@ def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GU
         if best_assign is None or error < best_error:
             best_error, best_assign = error, list(combo)
     storage = sum(map(operator.getitem, s_int, best_assign))
-    return _finish_solution(table, best_assign, budget, storage, denom)
+    return _solution(best_assign, best_error, scale, budget, storage, denom)
 
 
 # ---------------------------------------------------------------------------

@@ -343,8 +343,6 @@ def cmd_init(args) -> int:
     matrices = [read_tensor(p) for p in args.inputs]
     fishers = _load_fishers(args.fisher, matrices)
     workers = _workers_default(args.workers)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = _sweep_params(args, grid)
     params["budget_bits_per_param"] = str(args.budget_bits_per_param)
 
@@ -353,6 +351,9 @@ def cmd_init(args) -> int:
         budget_bits_per_param=args.budget_bits_per_param, seed=args.seed,
         workers=workers, method=args.method, max_iters=args.max_iters,
     )
+    # made only now: an infeasible budget leaves no directory behind
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs = [out_dir / "table.json", out_dir / "solution.json"]
     _atomic_write_json(outputs[0], table.to_json())

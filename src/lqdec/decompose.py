@@ -98,7 +98,10 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
         np.subtract(w32, prod, out=target)
         # one encode: the winner is packed from the codes it was scored with
         deq, pack = quantize_values(target, cfg)
-        np.subtract(w32, deq, out=r, dtype=np.float64)
+        # r = W - deq: widening W into r first is faster than letting
+        # numpy cast the float32 operand inside the subtraction
+        np.copyto(r, w32)
+        r -= deq
         del deq
         # (W - deq) - prod, in that order, into prod's buffer
         eps = weighted_error(np.subtract(r, prod, out=prod), None, None, f)

@@ -14,6 +14,7 @@ exactly, which `storage_bits_per_param` reports as a rational number.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -73,6 +74,18 @@ class QuantConfig:
     def as_tuple(self):
         return (self.b0, self.b1, self.b2, self.B0, self.B1)
 
+    @functools.cached_property
+    def bits_ratio(self):
+        """`storage_bits_ratio` of this config, computed on first use.
+
+        The allocator reads the cost of every grid config on each solve;
+        a frozen config's cost never changes, so it is derived once.
+        """
+        num = (self.b0 * self.B0 + self.b1) * self.B1 + FLOAT_FORMATS[self.b2]
+        den = self.B0 * self.B1
+        g = math.gcd(num, den)
+        return num // g, den // g
+
 
 def storage_bits_ratio(cfg: QuantConfig):
     """Exact storage cost in bits per matrix entry as (numerator, denominator).
@@ -80,10 +93,7 @@ def storage_bits_ratio(cfg: QuantConfig):
     The cost is ((b0 * B0 + b1) * B1 + width(b2)) / (B0 * B1), returned in
     lowest terms.
     """
-    num = (cfg.b0 * cfg.B0 + cfg.b1) * cfg.B1 + FLOAT_FORMATS[cfg.b2]
-    den = cfg.B0 * cfg.B1
-    g = math.gcd(num, den)
-    return num // g, den // g
+    return cfg.bits_ratio
 
 
 def storage_bits_per_param(cfg: QuantConfig) -> Fraction:

@@ -1,5 +1,7 @@
 """Sweeps, the exact knapsack allocator, and storage accounting."""
 
+import bisect
+import functools
 import math
 from fractions import Fraction
 
@@ -14,6 +16,10 @@ from lqdec.alloc import (
     ConfigGrid,
     LORA_FORMATS,
     SweepTable,
+    _by_efficiency,
+    _class_hull,
+    _greedy_incumbent,
+    _integer_errors,
     _scaled_budget,
     brute_force_mckp,
     default_grid,
@@ -388,36 +394,37 @@ def between_extremes(frac):
     return budget
 
 
-# (table, budget, assignment, nodes, bounds) as the search gave them
-# before the root Lagrangian reduction.  The reduction drops only
-# candidates that every node would prune, so the assignment and the nodes
-# must stay and the bounds may only fall.  The breakpoint budgets end the
-# root LP exactly on a hull step, where its bound equals the greedy
-# incumbent and the reduction empties every class.
+# (table, budget, assignment, nodes, bounds): the assignment and the nodes
+# as the search gave them before the root Lagrangian reduction and the
+# early exit from a class.  Both skip only candidates that the node would
+# prune anyway, so the assignment and the nodes must stay; the bounds are
+# the counts with both in place, and may only fall.  The breakpoint
+# budgets end the root LP exactly on a hull step, where its bound equals
+# the greedy incumbent and the reduction empties every class.
 GOLDEN = [
     ("seeded0-1/8", lambda: seeded_table(6, seed=0), bits_per_param(Fraction(1, 8)),
-     [9, 57, 6, 129, 7, 15], 6, 28),
+     [9, 57, 6, 129, 7, 15], 6, 6),
     ("seeded0-3/8", lambda: seeded_table(6, seed=0), bits_per_param(Fraction(3, 8)),
-     [156, 93, 6, 129, 7, 15], 10, 84),
+     [156, 93, 6, 129, 7, 15], 10, 15),
     ("seeded0-5/8", lambda: seeded_table(6, seed=0), bits_per_param(Fraction(5, 8)),
-     [135, 232, 6, 179, 84, 15], 43, 217),
+     [135, 232, 6, 179, 84, 15], 43, 60),
     ("seeded1-1/8", lambda: seeded_table(6, seed=1), bits_per_param(Fraction(1, 8)),
-     [21, 26, 64, 45, 119, 67], 7, 35),
+     [21, 26, 64, 45, 119, 67], 7, 22),
     ("seeded1-3/8", lambda: seeded_table(6, seed=1), bits_per_param(Fraction(3, 8)),
-     [21, 26, 101, 117, 119, 67], 12, 94),
+     [21, 26, 101, 117, 119, 67], 12, 28),
     ("seeded1-5/8", lambda: seeded_table(6, seed=1), bits_per_param(Fraction(5, 8)),
-     [21, 92, 213, 117, 208, 67], 22, 175),
+     [21, 92, 213, 117, 208, 67], 22, 55),
     ("seeded2-1/8", lambda: seeded_table(6, seed=2), bits_per_param(Fraction(1, 8)),
-     [64, 123, 57, 9, 26, 44], 15, 79),
+     [64, 123, 57, 9, 26, 44], 15, 23),
     ("seeded2-3/8", lambda: seeded_table(6, seed=2), bits_per_param(Fraction(3, 8)),
-     [160, 164, 110, 94, 26, 44], 6, 59),
+     [160, 164, 110, 94, 26, 44], 6, 5),
     ("seeded2-5/8", lambda: seeded_table(6, seed=2), bits_per_param(Fraction(5, 8)),
-     [196, 164, 214, 117, 141, 44], 143, 796),
-    ("tied-1/4", tied_table, between_extremes(Fraction(1, 4)), [3, 1, 2, 2, 0, 5], 8, 15),
-    ("tied-1/2", tied_table, between_extremes(Fraction(1, 2)), [3, 5, 2, 2, 0, 5], 6, 12),
+     [196, 164, 214, 117, 141, 44], 143, 454),
+    ("tied-1/4", tied_table, between_extremes(Fraction(1, 4)), [3, 1, 2, 2, 0, 5], 8, 8),
+    ("tied-1/2", tied_table, between_extremes(Fraction(1, 2)), [3, 5, 2, 2, 0, 5], 6, 5),
     ("seeded1-breakpoint", lambda: seeded_table(6, seed=1), lambda _: Fraction(34075, 2),
-     [21, 26, 101, 45, 119, 67], 1, 5),
-    ("tied-breakpoint", tied_table, lambda _: Fraction(6421, 8), [3, 1, 2, 2, 1, 2], 1, 2),
+     [21, 26, 101, 45, 119, 67], 1, 0),
+    ("tied-breakpoint", tied_table, lambda _: Fraction(6421, 8), [3, 1, 2, 2, 1, 2], 1, 0),
 ]
 GOLDEN_IDS = [case[0] for case in GOLDEN]
 
@@ -465,6 +472,131 @@ class TestRootReduction:
         sol = solve_mckp(table, 10 ** 9)
         assert sol.lp_bound == sol.total_error
         assert brute_force_mckp(make_table([[1.0, 2.0]]), 10 ** 9).lp_bound is None
+
+
+def search_without_exit(table, budget_bits):
+    """(assignment, nodes, bounds) of the search that bounds every candidate.
+
+    The set-up of `solve_mckp` written plainly, then its depth-first loop
+    as it was before the early exit: a class is left only when its
+    candidates run out, so every candidate that fits has its bound
+    evaluated.
+    """
+    _, costs, _, cap = _scaled_budget(table, budget_bits)
+    errors = table.errors
+    n, c = errors.shape
+    kept = []  # per matrix: configs strictly improving on every cheaper one
+    for i in range(n):
+        row = []
+        for j in sorted(range(c), key=lambda j: (costs[j], errors[i, j], j)):
+            if not row or errors[i, j] < errors[i, row[-1]]:
+                row.append(j)
+        kept.append(row)
+    if sum(size * costs[row[-1]] for size, row in zip(table.sizes, kept)) <= cap:
+        return [row[-1] for row in kept], 0, 0
+    order = sorted(range(n), key=lambda i: errors[i, kept[i][0]] - errors[i, kept[i][-1]],
+                   reverse=True)
+    e_flat, _ = _integer_errors(errors)
+    classes = [[(table.sizes[i] * costs[j], e_flat[i * c + j], j) for j in kept[i]]
+               for i in order]
+    hulls = [_class_hull(items) for items in classes]
+    candidates = [sorted(items, key=lambda t: (t[1], t[0])) for items in classes]
+    increments = sorted(((s1 - s0, e0 - e1, cls) for cls, hull in enumerate(hulls)
+                         for (s0, e0, _), (s1, e1, _) in zip(hull, hull[1:])),
+                        key=functools.cmp_to_key(_by_efficiency))
+    prefix = [None]
+    for d in range(1, n + 1):
+        ps, lp = [0], [sum(hull[0][1] for hull in hulls[d:])]
+        for ds, de, cls in increments:
+            if cls >= d:
+                ps.append(ps[-1] + ds)
+                lp.append(lp[-1] - de)
+        prefix.append((ps + [ps[-1] + cap + 1], lp + [lp[-1]]))
+    best, incumbent = _greedy_incumbent(hulls, increments, cap)
+
+    room = cap - sum(hull[0][0] for hull in hulls)
+    for ds, de, _ in increments:
+        if ds > room:
+            break
+        room -= ds
+    low = [min(ds * e + de * s for s, e, _ in hull) for hull in hulls]
+    root = sum(low) - de * cap
+    candidates = [[t for t in items if ds * t[1] + de * t[0] < limit]
+                  for items, limit in zip(candidates, (ds * incumbent - root + lo for lo in low))]
+
+    chosen = [0] * n
+    spare = [cap - sum(hull[0][0] for hull in hulls)] + [0] * (n - 1)
+    err = [0] * n
+    pending = [iter(candidates[0])] + [None] * (n - 1)
+    nodes, bounds = 1, 0
+    depth = 0
+    while depth >= 0:
+        ps, lp = prefix[depth + 1]
+        room = spare[depth] + hulls[depth][0][0]
+        for s, e, j in pending[depth]:
+            rem = room - s
+            if rem < 0:
+                continue
+            bounds += 1
+            new_err = err[depth] + e
+            k = bisect.bisect_right(ps, rem) - 1
+            if (new_err + lp[k] - incumbent) * (ps[k + 1] - ps[k]) >= (lp[k] - lp[k + 1]) * (rem - ps[k]):
+                continue
+            nodes += 1
+            chosen[depth] = j
+            if depth + 1 == n:
+                best, incumbent = list(chosen), new_err
+                continue
+            depth += 1
+            spare[depth] = rem
+            err[depth] = new_err
+            pending[depth] = iter(candidates[depth])
+            break
+        else:
+            depth -= 1
+
+    assignment = [0] * n
+    for d, i in enumerate(order):
+        assignment[i] = best[d]
+    return assignment, nodes, bounds
+
+
+class TestEarlyExit:
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=7),
+        c=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_search_as_without_exit_hypothesis(self, data, n, c):
+        # default-grid configs tie in cost (bf16 and fp16 scales), and
+        # errors from a small pool tie exactly
+        configs = data.draw(st.lists(st.sampled_from(default_grid().configs),
+                                     min_size=c, max_size=c, unique=True))
+        pool = data.draw(st.lists(st.floats(min_value=-4, max_value=4).map(lambda p: 10.0 ** p),
+                                  min_size=1, max_size=n * c))
+        errors = np.array([[data.draw(st.sampled_from(pool)) for _ in range(c)]
+                           for _ in range(n)])
+        sizes = [data.draw(st.integers(min_value=1, max_value=100)) for _ in range(n)]
+        table = make_table(errors, sizes=sizes, configs=configs)
+        lo = sum(min(row) for row in table.storage_bits)
+        hi = sum(max(row) for row in table.storage_bits)
+        budget = lo + (hi - lo) * data.draw(st.fractions(min_value=0, max_value=Fraction(11, 10)))
+        assignment, nodes, bounds = search_without_exit(table, budget)
+        got = solve_mckp(table, budget)
+        assert (got.assignment, got.nodes) == (assignment, nodes)
+        assert got.bounds <= bounds
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_search_on_seeded_tables(self, seed):
+        # deeper searches than the random tables reach, over the full grid
+        table = seeded_table(8, seed=seed)
+        for frac in (Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)):
+            budget = (2 + 2 * frac) * sum(table.sizes)
+            assignment, nodes, bounds = search_without_exit(table, budget)
+            got = solve_mckp(table, budget)
+            assert (got.assignment, got.nodes) == (assignment, nodes)
+            assert got.bounds <= bounds
 
 
 class TestBruteForce:

@@ -85,6 +85,15 @@ class TestExitCodes:
                          "--budget-bits-per-param", "1.0"])
         assert code == 3
 
+    def test_infeasible_init_leaves_no_output(self, tmp_path, capsys):
+        # nothing fits 1 bit per parameter: exit 3, and no output directory
+        m = make_matrix(tmp_path, "a.lqt")
+        out_dir = tmp_path / "d"
+        assert cli.main(["init", str(m), "--out-dir", str(out_dir),
+                         "--budget-bits-per-param", "1", "--rank", "2"]) == 3
+        assert capsys.readouterr().err.startswith("infeasible budget")
+        assert not out_dir.exists()
+
     def test_bad_budget_string(self, tmp_path, capsys):
         m = make_matrix(tmp_path, "m.lqt")
         grid = write_grid(tmp_path, SMALL_GRID)
