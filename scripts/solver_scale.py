@@ -6,14 +6,17 @@ preset (`--preset`, `llama2-7b-linear` by default) over the default
 error of one seeded 128x128 gaussian matrix under config c, times the
 size of matrix i, a lognormal per-matrix scale and 2% lognormal
 per-config noise, all drawn from `--seed`, so the same arguments always
-build the same table.  Each budget is solved once and printed as one
-JSON line: the time, the search's nodes and LP bounds, the root LP bound,
-the process's peak RSS so far and `assignment_sha256`, the SHA-256 of the
+build the same table.  Each budget is solved `--repeat` times (once by
+default) in this one process and printed as one JSON line: the median
+and least time, the search's nodes and LP bounds, the root LP bound, the
+process's peak RSS so far and `assignment_sha256`, the SHA-256 of the
 assignment as a JSON list, so two versions of the solver can be shown to
-return the same assignment.
+return the same assignment.  Every repeat must return the first solve's
+nodes, bounds and assignment, or the script stops.
 
 Example:
     python3 scripts/solver_scale.py --matrices 224 --budgets 2.5,2.75,3.0,3.25
+    python3 scripts/solver_scale.py --matrices 224 --budgets 2.75 --repeat 5
     python3 scripts/solver_scale.py --preset llama2-70b-linear --matrices 560 --budgets 2.75
 """
 
@@ -21,6 +24,7 @@ import argparse
 import hashlib
 import json
 import resource
+import statistics
 import time
 from fractions import Fraction
 
@@ -49,7 +53,12 @@ def parse_args():
     parser.add_argument("--budgets", default="2.5,2.75,3.0,3.25",
                         help="comma list of bits-per-param budgets")
     parser.add_argument("--seed", type=int, default=0)
-    return parser.parse_args()
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="solves per budget; `seconds` is their median")
+    args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error(f"--repeat must be at least 1, got {args.repeat}")
+    return args
 
 
 def synthetic_table(preset, n, seed):
@@ -75,15 +84,22 @@ def main():
     params = sum(table.sizes)
     for text in args.budgets.split(","):
         bits = Fraction(text.strip())
-        start = time.perf_counter()
-        sol = solve_mckp(table, bits * params)
-        seconds = time.perf_counter() - start
+        seconds, sol = [], None
+        for _ in range(args.repeat):
+            start = time.perf_counter()
+            again = solve_mckp(table, bits * params)
+            seconds.append(time.perf_counter() - start)
+            sol = sol or again
+            if (again.nodes, again.bounds, again.assignment) != (sol.nodes, sol.bounds, sol.assignment):
+                raise SystemExit(f"solve {len(seconds)} at {bits} bits/param differs from the first")
         print(json.dumps({
             "preset": args.preset,
             "matrices": args.matrices,
             "budget_bits_per_param": str(bits),
             "seed": args.seed,
-            "seconds": round(seconds, 3),
+            "seconds": round(statistics.median(seconds), 3),
+            "seconds_min": round(min(seconds), 3),
+            "repeats": args.repeat,
             "nodes": sol.nodes,
             "bounds": sol.bounds,
             "total_error": sol.total_error,

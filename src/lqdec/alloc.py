@@ -126,6 +126,8 @@ class SweepTable:
     @classmethod
     def from_json(cls, payload: dict) -> "SweepTable":
         """Parse a `to_json` payload; a missing or malformed field raises FormatError."""
+        if not isinstance(payload, dict):
+            raise FormatError(f"a sweep table is a JSON object, not {type(payload).__name__}")
         try:
             sizes = list(payload["sizes"])
             if not sizes or not all(type(s) is int and s > 0 for s in sizes):
@@ -140,6 +142,10 @@ class SweepTable:
                 [[np.nan if e is None else float(e) for e in row] for row in rows],
                 dtype=np.float64,
             )
+            # NaN here can only come from null, an unswept cell
+            if any(e is not None and not 0 <= float(e) < math.inf for row in rows for e in row):
+                raise FormatError("sweep table errors must be finite and nonnegative, "
+                                  "or null for a cell not swept yet")
             return cls(
                 sizes=sizes,
                 configs=configs,
@@ -712,6 +718,8 @@ def storage_report(shapes, quant_bits_per_param, lora_rank: int = 0,
         per_matrix = [Fraction(b) for b in quant_bits_per_param]
     else:
         per_matrix = [Fraction(quant_bits_per_param)] * len(shapes)
+    if min(per_matrix) < 0 or Fraction(lora_bits_per_param) < 0:
+        raise ValueError("bits per parameter must be nonnegative")
     quant_bits = sum(s * b for s, b in zip(sizes, per_matrix))
     lora_params = sum(lora_rank * (int(r) + int(c)) for r, c in shapes)
     lora_bits = lora_params * Fraction(lora_bits_per_param)

@@ -2,12 +2,12 @@
 
 Every command that writes files also writes a ``*.manifest.json`` next to
 its primary output recording the command, parameters, inputs, outputs,
-and elapsed time.  Sweeps flush their table after each completed row and
-resume from a partial table when rerun with identical parameters and
-input file contents.
+and elapsed time.  Sweeps flush their table, with its parameters and
+input file hashes inside, after each completed row, and resume from a
+partial table whose parameters match the rerun's.
 
-Exit codes: 0 success, 1 usage error, 2 malformed file, 3 infeasible
-budget, 4 numerical failure.
+Exit codes: 0 success, 1 usage or I/O error, 2 malformed file, 3
+infeasible budget, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -98,10 +98,6 @@ def _atomic_write_json(path: Path, payload):
     os.replace(tmp, path)
 
 
-def _manifest_path(primary: Path) -> Path:
-    return primary.with_name(primary.stem + ".manifest.json")
-
-
 def _write_manifest(primary: Path, command: str, params: dict, inputs, outputs,
                     elapsed: float, extra: dict = None, manifest: Path = None):
     payload = {
@@ -114,7 +110,7 @@ def _write_manifest(primary: Path, command: str, params: dict, inputs, outputs,
     }
     if extra:
         payload.update(extra)
-    _atomic_write_json(manifest or _manifest_path(primary), payload)
+    _atomic_write_json(manifest or primary.with_name(primary.stem + ".manifest.json"), payload)
 
 
 def _load_grid(path) -> ConfigGrid:
@@ -141,20 +137,12 @@ def _read_json(path, what: str):
             raise FormatError(f"{path}: not a JSON {what}: {exc}") from None
 
 
-def _read_table(path) -> SweepTable:
-    return SweepTable.from_json(_read_json(path, "sweep table"))
-
-
-def _previous_params(manifest: Path):
-    """The params a sweep manifest records; FormatError unless it is a JSON object."""
+def _parse_table(path, payload) -> SweepTable:
+    """The sweep table `payload` read from `path`; FormatError naming the file."""
     try:
-        payload = _read_json(manifest, "manifest")
-        if not isinstance(payload, dict):
-            raise FormatError(f"{manifest}: a manifest is a JSON object, "
-                              f"not {type(payload).__name__}")
+        return SweepTable.from_json(payload)
     except FormatError as exc:
-        raise FormatError(f"{exc}; pass --fresh to discard the partial sweep") from None
-    return payload.get("params")
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _sha256(path) -> str:
@@ -293,23 +281,25 @@ def cmd_sweep(args) -> int:
     params = _sweep_params(args, grid)
 
     errors_init = None
-    manifest = _manifest_path(out)
-    if out.exists() and manifest.exists() and not args.fresh:
-        if _previous_params(manifest) == params:
-            errors_init = _read_table(out).errors
-            done = int(np.sum(~np.isnan(errors_init)))
-            print(f"resuming: {done}/{errors_init.size} cells already swept")
-
-    # manifest goes down first so an interrupted run can be resumed
-    _write_manifest(out, "sweep", params, args.inputs, [out], 0.0)
+    if out.exists() and not args.fresh:
+        try:
+            previous = _read_json(out, "sweep table")
+            # no object stops the run; another sweep's or an older table is redone
+            if not isinstance(previous, dict) or previous.get("params") == params:
+                errors_init = _parse_table(out, previous).errors
+                done = int(np.sum(~np.isnan(errors_init)))
+                print(f"resuming: {done}/{errors_init.size} cells already swept")
+        except FormatError as exc:
+            raise FormatError(f"{exc}; pass --fresh to sweep it again") from None
 
     def flush(_, table):
-        _atomic_write_json(out, table.to_json())
+        # the resume key travels with the cells, in one atomic replace
+        _atomic_write_json(out, {**table.to_json(), "params": params})
 
     table = sweep(matrices, fishers, grid, args.rank, seed=args.seed,
                   workers=workers, method=args.method,
                   max_iters=args.max_iters, errors_init=errors_init, on_row=flush)
-    _atomic_write_json(out, table.to_json())
+    flush(None, table)
     _write_manifest(out, "sweep", params, args.inputs, [out],
                     time.perf_counter() - start)
     print(f"wrote {out} ({len(matrices)} matrices x {len(grid)} configs)")
@@ -318,7 +308,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_allocate(args) -> int:
     start = time.perf_counter()
-    table = _read_table(args.table)
+    table = _parse_table(args.table, _read_json(args.table, "sweep table"))
     budget_bits = args.budget_bits_per_param * sum(table.sizes)
     solver = brute_force_mckp if args.brute_force else solve_mckp
     solution = solver(table, budget_bits)
@@ -511,6 +501,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    # before ValueError: LinAlgError is one
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -523,9 +517,6 @@ def main(argv=None) -> int:
     except InfeasibleBudgetError as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
         return 3
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
 
 
 def entry():

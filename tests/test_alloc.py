@@ -678,6 +678,27 @@ class TestJsonRoundTrips:
         with pytest.raises(FormatError, match="no configs"):
             SweepTable.from_json(payload)
 
+    @pytest.mark.parametrize("cell", [math.inf, -math.inf, math.nan, -1.0, "-0.5"],
+                             ids=["inf", "-inf", "nan", "negative", "negative-text"])
+    def test_bad_error_cell_is_malformed(self, cell):
+        payload = make_table([[1.0, 2.0]]).to_json()
+        payload["errors"][0][1] = cell
+        with pytest.raises(FormatError, match="finite and nonnegative"):
+            SweepTable.from_json(payload)
+
+    def test_null_cell_is_unswept(self):
+        payload = make_table([[1.0, 2.0]]).to_json()
+        payload["errors"][0][1] = None
+        back = SweepTable.from_json(payload)
+        assert back.errors[0, 0] == 1.0 and np.isnan(back.errors[0, 1])
+
+    @pytest.mark.parametrize("row", [[2, 2, "fp16", 16], [2, 2, "fp16", 16, 16, 1], 7])
+    def test_config_row_of_wrong_arity_is_malformed(self, row):
+        payload = make_table([[1.0, 2.0]]).to_json()
+        payload["configs"][1] = row
+        with pytest.raises(FormatError, match="malformed sweep table"):
+            SweepTable.from_json(payload)
+
     def test_reloaded_table_keeps_budget_exact(self):
         # B0=48, B1=3 give costs (4075/6, 5875/6) that no float holds; a
         # budget just under the exact mixed cost 4975/3 must stay infeasible
@@ -877,6 +898,16 @@ class TestStorageReport:
         for shapes in ([(0, 4)], [(4, 4), (-2, -2)]):
             with pytest.raises(ValueError):
                 storage_report(shapes, 4)
+
+    def test_negative_bits_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            storage_report([(4, 4)], -3, lora_rank=1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            storage_report([(4, 4), (4, 4)], [3, Fraction(-1, 3)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            storage_report([(4, 4)], 4, lora_rank=1, lora_bits_per_param=-16)
+        # zero bits are a valid, if odd, account
+        assert storage_report([(4, 4)], 0, lora_rank=1, lora_bits_per_param=0).quant_bits == 0
 
     def test_json_payload(self):
         report = storage_report([(8, 8)], 4, lora_rank=1,

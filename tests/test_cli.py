@@ -5,6 +5,7 @@ coverage work, with one subprocess check of the installed entry point.
 """
 
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -167,20 +168,73 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("format error: ")
 
     @pytest.mark.parametrize("text", ["[1, 2]", "garbage{"], ids=["not-an-object", "not-json"])
-    def test_malformed_manifest_on_resume(self, tmp_path, capsys, text):
+    def test_unreadable_table_on_resume(self, tmp_path, capsys, text):
+        # an output that is no JSON object is neither resumed nor overwritten
         m = make_matrix(tmp_path, "m.lqt")
         grid = write_grid(tmp_path, SMALL_GRID)
         table = tmp_path / "table.json"
-        manifest = tmp_path / "table.manifest.json"
         argv = ["sweep", str(m), "-o", str(table), "--grid", str(grid)]
         assert cli.main(argv) == 0
-        manifest.write_text(text)
+        table.write_text(text)
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("format error: ")
-        assert str(manifest) in err and "--fresh" in err
-        assert manifest.read_text() == text
+        assert str(table) in err and "--fresh" in err
+        assert table.read_text() == text
         assert cli.main(argv + ["--fresh"]) == 0
+
+    @pytest.mark.parametrize("cell", [math.inf, -math.inf, math.nan, -1.0],
+                             ids=["inf", "-inf", "nan", "negative"])
+    def test_bad_error_cell(self, tmp_path, capsys, cell):
+        # a squared error is finite and nonnegative; only null marks a cell unswept
+        table = tmp_path / "table.json"
+        table.write_text(small_table([16], [[cell, 2.0]]))
+        code = cli.main(["allocate", str(table), "-o", str(tmp_path / "sol.json"),
+                         "--budget-bits-per-param", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and str(table) in err
+        assert not (tmp_path / "sol.json").exists()
+
+    @pytest.mark.parametrize("cell", [math.inf, -1.0], ids=["inf", "negative"])
+    def test_bad_error_cell_on_resume(self, tmp_path, capsys, cell):
+        m = make_matrix(tmp_path, "m.lqt")
+        grid = write_grid(tmp_path, SMALL_GRID)
+        table = tmp_path / "table.json"
+        argv = ["sweep", str(m), "-o", str(table), "--grid", str(grid)]
+        assert cli.main(argv) == 0
+        payload = json.loads(table.read_text())
+        payload["errors"][0][0] = cell
+        table.write_text(json.dumps(payload))
+        text = table.read_text()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ")
+        assert str(table) in err and "--fresh" in err
+        assert table.read_text() == text
+
+    def test_rank_beyond_matrix_leaves_no_output(self, tmp_path, capsys):
+        m = make_matrix(tmp_path, "m.lqt", rows=16, cols=12)
+        grid = write_grid(tmp_path, SMALL_GRID)
+        table = tmp_path / "t.json"
+        assert cli.main(["sweep", str(m), "-o", str(table), "--grid", str(grid),
+                         "--rank", "99"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not table.exists()
+        assert not (tmp_path / "t.manifest.json").exists()
+
+    def test_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        m = make_matrix(tmp_path, "m.lqt")
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "lq_decompose", fail)
+        code = cli.main(["decompose", str(m), "--out-prefix", str(tmp_path / "s"),
+                         "--config", "3,4,fp32,16,64"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not (tmp_path / "s.lqq").exists()
 
     def test_misshapen_fisher_leaves_no_output(self, tmp_path, capsys):
         m = make_matrix(tmp_path, "m.lqt", rows=16, cols=16)
@@ -381,6 +435,60 @@ class TestSweep:
         assert code == 0
         assert "resuming" not in text
 
+    def test_interrupted_rerun_does_not_resume_old_cells(self, tmp_path, monkeypatch, capsys):
+        # a rerun with new params, stopped in its first cell, must not leave
+        # the old cells looking like a partial sweep under the new params
+        a = make_matrix(tmp_path, "a.lqt")
+        b = make_matrix(tmp_path, "b.lqt", seed=1)
+        grid = write_grid(tmp_path, SMALL_GRID)
+        out = tmp_path / "table.json"
+
+        def argv(path, rank):
+            return ["sweep", str(a), str(b), "-o", str(path), "--grid", str(grid),
+                    "--rank", str(rank)]
+
+        assert cli.main(argv(out, 1)) == 0
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(alloc, "lq_decompose", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv(out, 2))
+        code, text = run(capsys, *argv(out, 2))
+        assert code == 0
+        assert "resuming" not in text
+        fresh = tmp_path / "fresh.json"
+        assert cli.main(argv(fresh, 2) + ["--fresh"]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_table_keeps_its_params(self, tmp_path, monkeypatch, capsys):
+        # the resume key is the table's own params: one written without
+        # them (by an older version) is swept again and overwritten
+        m = make_matrix(tmp_path, "m.lqt")
+        grid = write_grid(tmp_path, SMALL_GRID)
+        out = tmp_path / "table.json"
+        argv = self.sweep_argv(m, out, grid)
+        assert cli.main(argv) == 0
+        first = out.read_bytes()
+        payload = json.loads(first)
+        manifest = json.loads((tmp_path / "table.manifest.json").read_text())
+        assert payload["params"] == manifest["params"]
+        assert payload["params"]["sha256"] == {str(m): cli._sha256(m)}
+
+        del payload["params"]
+        out.write_text(json.dumps(payload))
+        calls = []
+        real = alloc.lq_decompose
+        monkeypatch.setattr(alloc, "lq_decompose",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        code, text = run(capsys, *argv)
+        assert code == 0
+        assert "resuming" not in text
+        assert len(calls) == 2
+        assert out.read_bytes() == first
+
     def test_grid_file_forms_agree(self, tmp_path, capsys):
         m = make_matrix(tmp_path, "m.lqt")
         grid_list = write_grid(tmp_path, SMALL_GRID)
@@ -571,6 +679,16 @@ class TestReport:
         code, out = run(capsys, "report", "--shapes", "4 x 4, 2x8", "--quant-bits", "4")
         assert code == 0
         assert json.loads(out)["total_params"] == 32
+
+    @pytest.mark.parametrize("argv", [
+        ["--shapes", "4x4", "--quant-bits", "-3", "--lora-rank", "1"],
+        ["--shapes", "4x4,4x4", "--quant-bits", "3,-3"],
+        ["--shapes", "4x4", "--quant-bits", "4", "--lora-rank", "1", "--lora-bits", "-16"],
+    ], ids=["quant-bits", "per-matrix", "lora-bits"])
+    def test_negative_bits(self, capsys, argv):
+        code, out = run(capsys, "report", *argv)
+        assert code == 1
+        assert out == ""
 
     def test_requires_exactly_one_source(self, capsys):
         assert cli.main(["report", "--quant-bits", "4"]) == 1

@@ -1,5 +1,6 @@
 """Blockwise normal-float quantization, float casts, and the container format."""
 
+import re
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -586,6 +587,31 @@ class TestContainer:
         write_quantized(path, q)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
+            read_quantized(path)
+
+    def test_unknown_scale_format_tag(self, tmp_path):
+        q = quantize_nf(np.ones((8, 8), dtype=np.float32), QuantConfig(2, 2, "fp32", 4, 4))
+        path = tmp_path / "m.lqq"
+        write_quantized(path, q)
+        raw = bytearray(path.read_bytes())
+        raw[24] = 7  # the b2 tag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: unknown scale format tag 7")):
+            read_quantized(path)
+
+    def test_invalid_config_with_matching_length(self, tmp_path):
+        # b0 = 5 is no supported width; the file is as long as a 5-bit
+        # container of its shape would be, so only the config is at fault
+        cfg = QuantConfig(4, 2, "fp32", 4, 4)
+        q = quantize_nf(np.ones((8, 8), dtype=np.float32), cfg)
+        path = tmp_path / "m.lqq"
+        write_quantized(path, q)
+        raw = bytearray(path.read_bytes())
+        raw[22] = 5  # b0
+        codes_end = HEADER_BYTES + 64 * 4 // 8
+        raw[codes_end:codes_end] = bytes(64 * (5 - 4) // 8)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: b0 must be one of")):
             read_quantized(path)
 
     def test_nonfinite_scale_rejected(self, tmp_path):

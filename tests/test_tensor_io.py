@@ -1,5 +1,6 @@
 """Dense tensor files, synthetic generators, and model presets."""
 
+import re
 import struct
 import tracemalloc
 
@@ -102,6 +103,25 @@ class TestTensorFile:
         struct.pack_into("<H", raw, 4, 7)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
+            read_tensor(path)
+
+    def test_unknown_dtype_tag(self, tmp_path):
+        path = tmp_path / "m.lqt"
+        write_tensor(path, np.zeros((2, 2), dtype=np.float32))
+        raw = bytearray(path.read_bytes())
+        raw[6] = 1  # the dtype tag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: unknown dtype tag 1")):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (0, 0)])
+    def test_zero_dimension(self, tmp_path, rows, cols):
+        path = tmp_path / "m.lqt"
+        write_tensor(path, np.zeros((2, 2), dtype=np.float32))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<QQ", raw, 8, rows, cols)
+        path.write_bytes(bytes(raw[:24]))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: bad dimensions {rows}x{cols}")):
             read_tensor(path)
 
     def test_nonfinite_payload_rejected(self, tmp_path):
