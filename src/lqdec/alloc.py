@@ -138,25 +138,25 @@ class SweepTable:
             rows = payload["errors"]
             if len(rows) != len(sizes) or any(len(row) != len(configs) for row in rows):
                 raise FormatError(f"sweep table errors must be a {len(sizes)}x{len(configs)} matrix")
+            # checked, not coerced: a string or a bool is no error value
+            if not all(e is None or (type(e) in (int, float) and 0 <= e < math.inf)
+                       for row in rows for e in row):
+                raise FormatError("sweep table errors must be finite and nonnegative "
+                                  "numbers, or null for a cell not swept yet")
+            # NaN here can only come from null, an unswept cell
             errors = np.array(
                 [[np.nan if e is None else float(e) for e in row] for row in rows],
                 dtype=np.float64,
             )
-            # NaN here can only come from null, an unswept cell
-            if any(e is not None and not 0 <= float(e) < math.inf for row in rows for e in row):
-                raise FormatError("sweep table errors must be finite and nonnegative, "
-                                  "or null for a cell not swept yet")
-            return cls(
-                sizes=sizes,
-                configs=configs,
-                errors=errors,
-                fisher_weighted=bool(payload["fisher_weighted"]),
-                rank=int(payload["rank"]),
-                seed=int(payload["seed"]),
-            )
+            fields = {name: payload[name] for name in ("fisher_weighted", "rank", "seed")}
+            for name, kind in (("fisher_weighted", bool), ("rank", int), ("seed", int)):
+                if type(fields[name]) is not kind:
+                    raise FormatError(f"sweep table {name} must be a {kind.__name__}, "
+                                      f"got {fields[name]!r}")
+            return cls(sizes=sizes, configs=configs, errors=errors, **fields)
         except KeyError as exc:
             raise FormatError(f"sweep table has no {exc} field") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed sweep table: {exc}") from None
 
 

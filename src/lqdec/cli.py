@@ -146,7 +146,12 @@ def _parse_table(path, payload) -> SweepTable:
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex digest of a file, read 1 MiB at a time so no copy of it is held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_split(prefix: Path, res) -> list:

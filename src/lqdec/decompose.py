@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quant
 from .factorize import LowRankFactors, factorize, fisher_scalers, weighted_error
-from .quant import QuantConfig, QuantizedMatrix, dequantize, quantize_nf, quantize_values
+from .quant import QuantConfig, QuantizedMatrix, dequantize, quantize_nf
 
 REASON_INCREASED = "error-increased"
 REASON_MAX_ITERS = "max-iters"
@@ -96,15 +97,20 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
         prod = fac.product()
         # the float64 difference, rounded once to float32
         np.subtract(w32, prod, out=target)
-        # one encode: the winner is packed from the codes it was scored with
-        deq, pack = quantize_values(target, cfg)
+        # one encode: the winner is packed from the codes it was scored
+        # with; the target, dead once encoded, takes the decoded values
+        shape, codes, shat, pack = quant._encode(target, cfg)
+        deq = quant._decode(shape, codes, shat, cfg, out=target)
         # r = W - deq: widening W into r first is faster than letting
         # numpy cast the float32 operand inside the subtraction
         np.copyto(r, w32)
         r -= deq
-        del deq
-        # (W - deq) - prod, in that order, into prod's buffer
-        eps = weighted_error(np.subtract(r, prod, out=prod), None, None, f)
+        # (W - deq) - prod, in that order, weighted by sqrt(F), all in
+        # prod's buffer
+        np.subtract(r, prod, out=prod)
+        if f is not None:
+            prod *= f.root
+        eps = weighted_error(prod)
         del prod  # freed before the next factorization
         trace.append(eps)
         if best is None or eps < trace[chosen]:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quant import _row_chunks
+
 SVD_METHODS = ("exact", "randomized")
 
 # Defaults of the sketching method: Gaussian test matrix with a fixed
@@ -188,24 +190,36 @@ def weighted_error(w, q_dequant=None, factors=None, f=None) -> float:
 
     Either residual term may be omitted; without `f` the plain Frobenius
     norm of the residual is returned.  `f` is an importance matrix or
-    the `WeightScalers` of one.
+    the `WeightScalers` of one.  The residual is formed in one float64
+    buffer of its own, (W - Q) - L1 L2 in that order; no argument is
+    written to.
     """
-    acc = np.asarray(w, dtype=np.float64)
-    if acc.ndim != 2:
+    w = np.asarray(w)
+    if w.ndim != 2:
         raise ValueError("expected a 2-d matrix")
+    q = None
     if q_dequant is not None:
-        qd = np.asarray(q_dequant, dtype=np.float64)
-        if qd.shape != acc.shape:
-            raise ValueError(f"quantized shape {qd.shape} does not match {acc.shape}")
-        acc = acc - qd
+        q = np.asarray(q_dequant)
+        if q.shape != w.shape:
+            raise ValueError(f"quantized shape {q.shape} does not match {w.shape}")
     if factors is not None:
-        prod = factors.product()
-        if prod.shape != acc.shape:
-            raise ValueError(f"factor shape {prod.shape} does not match {acc.shape}")
-        acc = acc - prod
+        acc = factors.product()
+        if acc.shape != w.shape:
+            raise ValueError(f"factor shape {acc.shape} does not match {w.shape}")
+        # W - Q in cache-sized float64 chunks, minus the product in place
+        for part in _row_chunks(acc):
+            diff = w[part] if q is None else np.subtract(w[part], q[part], dtype=np.float64)
+            np.subtract(diff, acc[part], out=acc[part])
+    elif q is not None:
+        acc = np.subtract(w, q, dtype=np.float64)
+    else:
+        acc = np.asarray(w, dtype=np.float64)
     if f is not None:
         root = fisher_scalers(f).root
         if root.shape != acc.shape:
             raise ValueError(f"importance shape {root.shape} does not match {acc.shape}")
-        acc = root * acc
+        if acc is w:  # the caller's float64 W is read, not scaled in place
+            acc = root * acc
+        else:
+            acc *= root
     return float(np.linalg.norm(acc))

@@ -267,15 +267,20 @@ def _encode(m, cfg: QuantConfig):
     blocks = _block_rows(flat, cfg.B0)
 
     # abs and max are exact in float32, and a NaN or infinity survives
-    # into its block's maximum
-    absmax = np.maximum.reduceat(np.abs(flat), np.arange(0, a.size, cfg.B0)).astype(np.float64)
+    # into its block's maximum; taken per chunk, so no |W| copy is made
+    chunks, width = _row_chunks(blocks), blocks.shape[1]
+    starts = np.arange(0, blocks[chunks[0]].size, width)
+    absmax = np.empty(len(blocks), dtype=np.float64)
+    for part in chunks:
+        block = np.abs(blocks[part]).reshape(-1)
+        absmax[part] = np.maximum.reduceat(block, starts[:block.size // width])
     if not np.all(np.isfinite(absmax)):
         raise ValueError("matrix entries must be finite")
     # the division promotes to float64, and an infinite divisor gives the
     # zero a skipped division would
     divisor = np.where(absmax > 0, absmax, np.inf)[:, None]
     codes = np.empty(blocks.shape, dtype=np.uint8)
-    for part in _row_chunks(blocks):
+    for part in chunks:
         codes[part] = nearest_level_codes(blocks[part] / divisor[part], cb)
 
     s_codes, gmax, _ = _unsigned_codes(absmax, cfg.b1, cfg.B1)
@@ -294,15 +299,27 @@ def _encode(m, cfg: QuantConfig):
     return shape, codes, shat, pack
 
 
-def _decode(shape, codes: np.ndarray, shat: np.ndarray, cfg: QuantConfig) -> np.ndarray:
-    """float32 matrix from flat unpacked entry codes and per-block scales."""
-    rows = _block_rows(codes, cfg.B0)
+def _decode(shape, codes: np.ndarray, shat: np.ndarray, cfg: QuantConfig,
+            out: np.ndarray = None) -> np.ndarray:
+    """float32 matrix from flat unpacked entry codes and per-block scales.
+
+    Written into `out`, a C-contiguous float32 matrix of `shape`, when
+    one is given.
+    """
     levels = build_codebook(cfg.b0).levels
-    out = np.empty(rows.shape, dtype=np.float32)
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    flat, n = out.reshape(-1), codes.size
+    width = min(cfg.B0, n)
+    whole = n - n % width
+    rows, dst = codes[:whole].reshape(-1, width), flat[:whole].reshape(-1, width)
+    scales = shat[:len(rows), None]
     # the product is taken in float64 and rounded once, into out
     for part in _row_chunks(rows):
-        np.multiply(np.take(levels, rows[part]), shat[part, None], out=out[part])
-    return out.reshape(-1)[:codes.size].reshape(shape)
+        np.multiply(np.take(levels, rows[part]), scales[part], out=dst[part])
+    if whole < n:  # a last, partial block
+        np.multiply(np.take(levels, codes[whole:]), shat[-1], out=flat[whole:])
+    return out
 
 
 def quantize_nf(m, cfg: QuantConfig) -> QuantizedMatrix:

@@ -686,6 +686,37 @@ class TestJsonRoundTrips:
         with pytest.raises(FormatError, match="finite and nonnegative"):
             SweepTable.from_json(payload)
 
+    @pytest.mark.parametrize("field, value", [
+        ("fisher_weighted", "false"), ("fisher_weighted", 0),
+        ("rank", 1.9), ("rank", True), ("rank", "2"),
+        ("seed", True), ("seed", 1.0),
+    ], ids=["weighted-text", "weighted-int", "rank-float", "rank-bool", "rank-text",
+            "seed-bool", "seed-float"])
+    def test_field_of_wrong_type_is_malformed(self, field, value):
+        # checked, not coerced: bool("false") is True and int(1.9) is 1
+        payload = make_table([[1.0, 2.0]]).to_json()
+        payload[field] = value
+        with pytest.raises(FormatError, match=field):
+            SweepTable.from_json(payload)
+
+    @pytest.mark.parametrize("cell", ["0.5", True], ids=["text", "bool"])
+    def test_error_cell_of_wrong_type_is_malformed(self, cell):
+        payload = make_table([[1.0, 2.0]]).to_json()
+        payload["errors"][0][1] = cell
+        with pytest.raises(FormatError, match="finite and nonnegative"):
+            SweepTable.from_json(payload)
+
+    def test_error_cell_beyond_float_is_malformed(self):
+        payload = make_table([[1.0, 2.0]]).to_json()
+        payload["errors"][0][1] = 10 ** 400  # a JSON integer no float holds
+        with pytest.raises(FormatError, match="malformed sweep table"):
+            SweepTable.from_json(payload)
+
+    def test_integer_error_cell_loads(self):
+        payload = make_table([[1.0, 2.0]]).to_json()
+        payload["errors"][0][1] = 0
+        assert SweepTable.from_json(payload).errors[0, 1] == 0.0
+
     def test_null_cell_is_unswept(self):
         payload = make_table([[1.0, 2.0]]).to_json()
         payload["errors"][0][1] = None

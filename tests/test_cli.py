@@ -4,11 +4,13 @@ Everything runs in process through ``cli.main`` so monkeypatching and
 coverage work, with one subprocess check of the installed entry point.
 """
 
+import hashlib
 import json
 import math
 import re
 import shutil
 import subprocess
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +191,24 @@ class TestExitCodes:
         # a squared error is finite and nonnegative; only null marks a cell unswept
         table = tmp_path / "table.json"
         table.write_text(small_table([16], [[cell, 2.0]]))
+        code = cli.main(["allocate", str(table), "-o", str(tmp_path / "sol.json"),
+                         "--budget-bits-per-param", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and str(table) in err
+        assert not (tmp_path / "sol.json").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("fisher_weighted", "false"), ("rank", 1.9), ("seed", True), ("errors", "0.5"),
+    ], ids=["weighted-text", "rank-float", "seed-bool", "error-text"])
+    def test_field_of_wrong_type(self, tmp_path, capsys, field, value):
+        payload = json.loads(small_table([16], [[1.0, 2.0]]))
+        if field == "errors":
+            payload["errors"][0][0] = value
+        else:
+            payload[field] = value
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(payload))
         code = cli.main(["allocate", str(table), "-o", str(tmp_path / "sol.json"),
                          "--budget-bits-per-param", "3"])
         assert code == 2
@@ -694,6 +714,21 @@ class TestReport:
         assert cli.main(["report", "--quant-bits", "4"]) == 1
         assert cli.main(["report", "--preset", "llama2-7b-linear",
                          "--shapes", "4x4", "--quant-bits", "4"]) == 1
+
+
+def test_sha256_reads_in_chunks(tmp_path):
+    # the digest of a file longer than one read, without a copy of the file
+    data = np.random.default_rng(0).bytes((4 << 20) + 12345)
+    path = tmp_path / "big.lqt"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = cli._sha256(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak <= len(data) // 2
 
 
 @pytest.mark.skipif(shutil.which("lqdec") is None,

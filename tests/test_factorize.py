@@ -1,6 +1,7 @@
 """Truncated SVD factorization, Fisher weighting, and weighted errors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,76 @@ class TestWeightedError:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             weighted_error(np.zeros((2, 2), dtype=np.float32), f=np.zeros((3, 3)))
+
+
+def reference_weighted_error(w, q_dequant=None, factors=None, f=None):
+    """The error as first written: every term a new float64 array."""
+    acc = np.asarray(w, dtype=np.float64)
+    if q_dequant is not None:
+        acc = acc - np.asarray(q_dequant, dtype=np.float64)
+    if factors is not None:
+        acc = acc - factors.product()
+    if f is not None:
+        acc = fisher_scalers(f).root * acc
+    return float(np.linalg.norm(acc))
+
+
+def error_inputs(rows, cols, dtype, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((rows, cols)).astype(dtype)
+    q = (w + 0.1 * rng.standard_normal((rows, cols))).astype(dtype)
+    fac = LowRankFactors(
+        (0.1 * rng.standard_normal((rows, 3))).astype(np.float32),
+        (0.1 * rng.standard_normal((3, cols))).astype(np.float32),
+    )
+    return w, q, fac, gen_fisher("random-nonneg", rows, cols, seed=seed)
+
+
+TERMS = {"w": (False, False), "q": (True, False), "factors": (False, True),
+         "both": (True, True)}
+
+
+class TestWeightedErrorBuffers:
+    """One float64 buffer per call, filled in row chunks, never an argument."""
+
+    # 300 rows of 256 are 2 chunks of 128 rows and one of 44
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weights", [None, "raw", "scalers"])
+    @pytest.mark.parametrize("terms", sorted(TERMS))
+    def test_equals_reference_formula(self, dtype, weights, terms):
+        w, q, fac, f = error_inputs(300, 256, dtype, seed=21)
+        with_q, with_fac = TERMS[terms]
+        args = (w, q if with_q else None, fac if with_fac else None,
+                {None: None, "raw": f, "scalers": fisher_scalers(f)}[weights])
+        got = weighted_error(*args)
+        assert got.hex() == reference_weighted_error(*args).hex()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("terms", sorted(TERMS))
+    def test_arguments_unchanged(self, dtype, terms):
+        w, q, fac, f = error_inputs(300, 256, dtype, seed=22)
+        sc = fisher_scalers(f)
+        with_q, with_fac = TERMS[terms]
+        before = [a.tobytes() for a in (w, q, fac.l1, fac.l2, f, sc.root)]
+        for weights in (None, f, sc):
+            weighted_error(w, q if with_q else None, fac if with_fac else None, weights)
+        assert [a.tobytes() for a in (w, q, fac.l1, fac.l2, f, sc.root)] == before
+
+    # the shape of test_peak_memory; 8.0x and 6.0x when each term was a
+    # new float64 array
+    @pytest.mark.parametrize("terms, bound", [("both", 3.5), ("q", 2.5)])
+    def test_peak_memory(self, terms, bound):
+        w, q, fac, _ = error_inputs(256, 688, np.float32, seed=16)
+        with_q, with_fac = TERMS[terms]
+        args = (w, q if with_q else None, fac if with_fac else None)
+        weighted_error(*args)
+        tracemalloc.start()
+        try:
+            weighted_error(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * w.nbytes
 
 
 class TestParsedWeights:
