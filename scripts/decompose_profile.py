@@ -12,7 +12,10 @@ printed:
   minus its RSS before it, in MB and as a multiple of W's float32 bytes;
 - `tracemalloc_peak_x`: the traced call's tracemalloc peak over W's bytes;
 - `error_peak_x`: the same for re-scoring the result with
-  `weighted_error(w, dequantize(q), factors, f)`.
+  `weighted_error(w, dequantize(q), factors, f)`;
+- `quantize_s` and `dequantize_s`: the container round trip at this
+  shape, the wall time of `quantize_nf(w, config)` and of `dequantize`
+  of that container, taken last so they leave the RSS figures alone.
 
 The current RSS is read from /proc/self/statm, so the RSS figures need
 Linux.  Set OPENBLAS_NUM_THREADS=1 for single-core times.
@@ -29,7 +32,7 @@ import resource
 import time
 import tracemalloc
 
-from lqdec import QuantConfig, dequantize, gen_fisher, gen_matrix, lq_decompose
+from lqdec import QuantConfig, dequantize, gen_fisher, gen_matrix, lq_decompose, quantize_nf
 from lqdec.factorize import weighted_error
 from lqdec.tensor_io import FISHER_KINDS
 
@@ -89,6 +92,12 @@ def main():
     error, error_peak = traced_peak(lambda: weighted_error(w, deq, res.factors, f))
     if error != res.error:
         raise SystemExit(f"re-scored error {error!r} differs from the reported {res.error!r}")
+    start = time.perf_counter()
+    q = quantize_nf(w, args.config)
+    quantize_s = time.perf_counter() - start
+    start = time.perf_counter()
+    dequantize(q)
+    dequantize_s = time.perf_counter() - start
     print(json.dumps({
         "shape": list(args.shape),
         "rank": args.rank,
@@ -101,6 +110,8 @@ def main():
         "rss_rise_x": round(rise / w.nbytes, 2),
         "tracemalloc_peak_x": round(peak / w.nbytes, 2),
         "error_peak_x": round(error_peak / w.nbytes, 2),
+        "quantize_s": round(quantize_s, 4),
+        "dequantize_s": round(dequantize_s, 4),
         "error": res.error,
     }))
 

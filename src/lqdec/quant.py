@@ -150,6 +150,17 @@ def _block_rows(flat: np.ndarray, size: int) -> np.ndarray:
     return rows.reshape(n_blocks, width)
 
 
+def _split_blocks(flat: np.ndarray, size: int):
+    """Views of a flat vector: (whole blocks as rows, the partial last block).
+
+    The rows are `_block_rows` without its padded copy; the partial block
+    is empty when the width divides the entry count.
+    """
+    width = min(size, flat.size)
+    whole = flat.size - flat.size % width
+    return flat[:whole].reshape(-1, width), flat[whole:]
+
+
 # Entries per chunk of the entry-level kernels: a chunk's float64
 # temporaries (256 KiB) stay in a core's L2 cache instead of spanning
 # the matrix.  32k and 64k entries were equally fast at 512^2 and
@@ -159,8 +170,10 @@ _CHUNK_ENTRIES = 1 << 15
 
 def _row_chunks(rows: np.ndarray) -> list:
     """Slices of whole block rows, about _CHUNK_ENTRIES entries each."""
-    step = max(1, _CHUNK_ENTRIES // rows.shape[1])
-    return [slice(i, i + step) for i in range(0, rows.shape[0], step)]
+    n, step = rows.shape[0], max(1, _CHUNK_ENTRIES // rows.shape[1])
+    # clipped stops: _encode also takes these slices of its per-block
+    # vectors, which hold one more entry for a partial last block
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _unsigned_codes(values: np.ndarray, bits: int, group_size: int):
@@ -263,25 +276,29 @@ def _encode(m, cfg: QuantConfig):
     if a.ndim != 2 or a.size == 0:
         raise ValueError("expected a nonempty 2-d matrix")
     cb = build_codebook(cfg.b0)
-    flat = a.reshape(-1)
-    blocks = _block_rows(flat, cfg.B0)
+    blocks, tail = _split_blocks(a.reshape(-1), cfg.B0)
 
     # abs and max are exact in float32, and a NaN or infinity survives
     # into its block's maximum; taken per chunk, so no |W| copy is made
     chunks, width = _row_chunks(blocks), blocks.shape[1]
     starts = np.arange(0, blocks[chunks[0]].size, width)
-    absmax = np.empty(len(blocks), dtype=np.float64)
+    absmax = np.empty(len(blocks) + (tail.size > 0), dtype=np.float64)
     for part in chunks:
         block = np.abs(blocks[part]).reshape(-1)
         absmax[part] = np.maximum.reduceat(block, starts[:block.size // width])
+    if tail.size:
+        absmax[-1] = np.abs(tail).max()
     if not np.all(np.isfinite(absmax)):
         raise ValueError("matrix entries must be finite")
     # the division promotes to float64, and an infinite divisor gives the
     # zero a skipped division would
     divisor = np.where(absmax > 0, absmax, np.inf)[:, None]
-    codes = np.empty(blocks.shape, dtype=np.uint8)
+    codes = np.empty(a.size, dtype=np.uint8)
+    code_rows, code_tail = _split_blocks(codes, cfg.B0)
     for part in chunks:
-        codes[part] = nearest_level_codes(blocks[part] / divisor[part], cb)
+        code_rows[part] = nearest_level_codes(blocks[part] / divisor[part], cb)
+    if tail.size:
+        code_tail[:] = nearest_level_codes(tail / divisor[-1], cb)
 
     s_codes, gmax, _ = _unsigned_codes(absmax, cfg.b1, cfg.B1)
     scales = cast_float(gmax, cfg.b2)
@@ -290,8 +307,10 @@ def _encode(m, cfg: QuantConfig):
     # their entry codes; store the zero level there so repeated
     # quantize/dequantize round trips are byte-stable.
     shat = _block_scales(s_codes, scales, cfg)
-    codes[shat == 0.0] = cb.zero_index
-    shape, codes = a.shape, codes.reshape(-1)[:a.size]
+    code_rows[shat[:len(code_rows)] == 0.0] = cb.zero_index
+    if tail.size and shat[-1] == 0.0:
+        code_tail[:] = cb.zero_index
+    shape = a.shape
 
     def pack() -> QuantizedMatrix:
         return QuantizedMatrix(*shape, cfg, pack_bits(codes, cfg.b0),
@@ -309,16 +328,14 @@ def _decode(shape, codes: np.ndarray, shat: np.ndarray, cfg: QuantConfig,
     levels = build_codebook(cfg.b0).levels
     if out is None:
         out = np.empty(shape, dtype=np.float32)
-    flat, n = out.reshape(-1), codes.size
-    width = min(cfg.B0, n)
-    whole = n - n % width
-    rows, dst = codes[:whole].reshape(-1, width), flat[:whole].reshape(-1, width)
+    rows, tail = _split_blocks(codes, cfg.B0)
+    dst, dst_tail = _split_blocks(out.reshape(-1), cfg.B0)
     scales = shat[:len(rows), None]
     # the product is taken in float64 and rounded once, into out
     for part in _row_chunks(rows):
         np.multiply(np.take(levels, rows[part]), scales[part], out=dst[part])
-    if whole < n:  # a last, partial block
-        np.multiply(np.take(levels, codes[whole:]), shat[-1], out=flat[whole:])
+    if tail.size:
+        np.multiply(np.take(levels, tail), shat[-1], out=dst_tail)
     return out
 
 

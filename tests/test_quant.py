@@ -18,6 +18,7 @@ from lqdec.quant import (
     HEADER_BYTES,
     QuantConfig,
     QuantizedMatrix,
+    _encode,
     cast_float,
     dequantize,
     exact_container_bytes,
@@ -478,6 +479,22 @@ def test_quantize_values_peak_memory(label):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * w.nbytes
+
+
+@pytest.mark.parametrize("shape", [(255, 689), (256, 688)])
+def test_encode_peak_memory_partial_block(shape):
+    # B0 = 64 divides 256 x 688 entries but not 255 x 689; a zero-padded
+    # float32 copy of W for the partial last block peaked at 1.95x
+    w = gen_matrix("gaussian", *shape, seed=0)
+    cfg = QuantConfig.parse("3,8,fp32,64,256")
+    _encode(w, cfg)  # builds the codebook outside the trace
+    tracemalloc.start()
+    try:
+        _encode(w, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * w.nbytes
 
 
 class TestContainer:
