@@ -43,7 +43,7 @@ import numpy as np
 
 from .decompose import derive_seed, lq_decompose
 from .errors import FormatError, InfeasibleBudgetError
-from .quant import QuantConfig, storage_bits_per_param, storage_bits_ratio
+from .quant import QuantConfig, storage_bits_per_param
 
 BRUTE_FORCE_GUARD = 10 ** 7
 
@@ -169,7 +169,7 @@ def _storage_costs(configs):
     sizes[i] * costs[c]; an integer total of those fits a budget exactly
     when it is <= floor(budget * denom).
     """
-    per_param = [storage_bits_ratio(cfg) for cfg in configs]
+    per_param = [cfg.bits_ratio for cfg in configs]
     denom = math.lcm(*{den for _, den in per_param})
     return [num * (denom // den) for num, den in per_param], denom
 

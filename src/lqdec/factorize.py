@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import _row_chunks
+from .quant import _chunks
 
 SVD_METHODS = ("exact", "randomized")
 
@@ -206,8 +206,9 @@ def weighted_error(w, q_dequant=None, factors=None, f=None) -> float:
         acc = factors.product()
         if acc.shape != w.shape:
             raise ValueError(f"factor shape {acc.shape} does not match {w.shape}")
-        # W - Q in cache-sized float64 chunks, minus the product in place
-        for part in _row_chunks(acc):
+        # W - Q in cache-sized float64 chunks of rows, minus the product
+        # in place; a matrix with no entries has no chunks
+        for _, part, _ in _chunks(acc.size, acc.shape[1]):
             diff = w[part] if q is None else np.subtract(w[part], q[part], dtype=np.float64)
             np.subtract(diff, acc[part], out=acc[part])
     elif q is not None:

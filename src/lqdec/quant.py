@@ -76,10 +76,12 @@ class QuantConfig:
 
     @functools.cached_property
     def bits_ratio(self):
-        """`storage_bits_ratio` of this config, computed on first use.
+        """Exact storage cost in bits per matrix entry as (numerator, denominator).
 
-        The allocator reads the cost of every grid config on each solve;
-        a frozen config's cost never changes, so it is derived once.
+        The cost is ((b0 * B0 + b1) * B1 + width(b2)) / (B0 * B1), returned
+        in lowest terms.  The allocator reads the cost of every grid config
+        on each solve; a frozen config's cost never changes, so it is
+        derived once, on first use.
         """
         num = (self.b0 * self.B0 + self.b1) * self.B1 + FLOAT_FORMATS[self.b2]
         den = self.B0 * self.B1
@@ -87,18 +89,9 @@ class QuantConfig:
         return num // g, den // g
 
 
-def storage_bits_ratio(cfg: QuantConfig):
-    """Exact storage cost in bits per matrix entry as (numerator, denominator).
-
-    The cost is ((b0 * B0 + b1) * B1 + width(b2)) / (B0 * B1), returned in
-    lowest terms.
-    """
-    return cfg.bits_ratio
-
-
 def storage_bits_per_param(cfg: QuantConfig) -> Fraction:
     """Exact storage cost in bits per matrix entry."""
-    return Fraction(*storage_bits_ratio(cfg))
+    return Fraction(*cfg.bits_ratio)
 
 
 def container_counts(rows: int, cols: int, cfg: QuantConfig):
@@ -133,34 +126,6 @@ def cast_float(values, fmt: str) -> np.ndarray:
     return rounded.view(np.float32)
 
 
-def _block_rows(flat: np.ndarray, size: int) -> np.ndarray:
-    """A flat vector as (blocks, width) rows, width = min(size, entries).
-
-    A view when the width divides the entry count; otherwise a copy with
-    the last block zero-padded.  Capping the width at the entry count
-    keeps memory proportional to the matrix for any block size.
-    """
-    n = flat.size
-    width = min(size, n)
-    n_blocks = -(-n // width)
-    if n_blocks * width == n:
-        return flat.reshape(n_blocks, width)
-    rows = np.zeros(n_blocks * width, dtype=flat.dtype)
-    rows[:n] = flat
-    return rows.reshape(n_blocks, width)
-
-
-def _split_blocks(flat: np.ndarray, size: int):
-    """Views of a flat vector: (whole blocks as rows, the partial last block).
-
-    The rows are `_block_rows` without its padded copy; the partial block
-    is empty when the width divides the entry count.
-    """
-    width = min(size, flat.size)
-    whole = flat.size - flat.size % width
-    return flat[:whole].reshape(-1, width), flat[whole:]
-
-
 # Entries per chunk of the entry-level kernels: a chunk's float64
 # temporaries (256 KiB) stay in a core's L2 cache instead of spanning
 # the matrix.  32k and 64k entries were equally fast at 512^2 and
@@ -168,12 +133,22 @@ def _split_blocks(flat: np.ndarray, size: int):
 _CHUNK_ENTRIES = 1 << 15
 
 
-def _row_chunks(rows: np.ndarray) -> list:
-    """Slices of whole block rows, about _CHUNK_ENTRIES entries each."""
-    n, step = rows.shape[0], max(1, _CHUNK_ENTRIES // rows.shape[1])
-    # clipped stops: _encode also takes these slices of its per-block
-    # vectors, which hold one more entry for a partial last block
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+def _chunks(n: int, size: int) -> list:
+    """(entry slice, block slice, row width) per chunk of n entries in blocks.
+
+    Blocks hold `size` entries, capped at n, so memory follows the entry
+    count for any block size.  A chunk is about _CHUNK_ENTRIES entries of
+    whole blocks, or the partial last block alone, so that
+    ``flat[entries].reshape(-1, width)`` is a view with one block per row.
+    No entries, no chunks.
+    """
+    width = max(1, min(size, n))
+    whole = n // width
+    edges = [*range(0, whole, max(1, _CHUNK_ENTRIES // width)), whole]
+    chunks = [(slice(a * width, b * width), slice(a, b), width) for a, b in zip(edges, edges[1:])]
+    if whole * width < n:
+        chunks.append((slice(whole * width, n), slice(whole, whole + 1), n - whole * width))
+    return chunks
 
 
 def _unsigned_codes(values: np.ndarray, bits: int, group_size: int):
@@ -182,11 +157,13 @@ def _unsigned_codes(values: np.ndarray, bits: int, group_size: int):
     gmax = np.maximum.reduceat(values, np.arange(0, n, group_size, dtype=np.int64))
     levels = (1 << bits) - 1
     steps = gmax / levels
-    # an infinite divisor gives the zero a skipped division would
-    x = _block_rows(values, group_size) / np.where(steps > 0, steps, np.inf)[:, None]
+    # each group's step spread over its entries, the quotients written
+    # over it; an infinite divisor gives the zero a skipped division would
+    x = np.repeat(np.where(steps > 0, steps, np.inf), min(group_size, n))[:n]
+    np.divide(values, x, out=x)
     # round half away from zero; inputs are nonnegative
-    codes = np.clip(np.floor(x + 0.5), 0, levels).astype(np.uint8)
-    return codes.reshape(-1)[:n], gmax, steps
+    np.floor(np.add(x, 0.5, out=x), out=x)
+    return np.clip(x, 0, levels, out=x).astype(np.uint8), gmax, steps
 
 
 def rtn_quantize_unsigned(values, bits: int, group_size: int):
@@ -276,40 +253,31 @@ def _encode(m, cfg: QuantConfig):
     if a.ndim != 2 or a.size == 0:
         raise ValueError("expected a nonempty 2-d matrix")
     cb = build_codebook(cfg.b0)
-    blocks, tail = _split_blocks(a.reshape(-1), cfg.B0)
+    flat = a.reshape(-1)
+    chunks = _chunks(a.size, cfg.B0)
+    # block starts within a chunk; no chunk holds more blocks than the first
+    starts = np.arange(0, chunks[0][0].stop, chunks[0][2])
 
     # abs and max are exact in float32, and a NaN or infinity survives
     # into its block's maximum; taken per chunk, so no |W| copy is made
-    chunks, width = _row_chunks(blocks), blocks.shape[1]
-    starts = np.arange(0, blocks[chunks[0]].size, width)
-    absmax = np.empty(len(blocks) + (tail.size > 0), dtype=np.float64)
-    for part in chunks:
-        block = np.abs(blocks[part]).reshape(-1)
-        absmax[part] = np.maximum.reduceat(block, starts[:block.size // width])
-    if tail.size:
-        absmax[-1] = np.abs(tail).max()
+    absmax = np.empty(container_counts(*a.shape, cfg)[1], dtype=np.float64)
+    for ent, blk, _ in chunks:
+        absmax[blk] = np.maximum.reduceat(np.abs(flat[ent]), starts[:blk.stop - blk.start])
     if not np.all(np.isfinite(absmax)):
         raise ValueError("matrix entries must be finite")
-    # the division promotes to float64, and an infinite divisor gives the
-    # zero a skipped division would
-    divisor = np.where(absmax > 0, absmax, np.inf)[:, None]
-    codes = np.empty(a.size, dtype=np.uint8)
-    code_rows, code_tail = _split_blocks(codes, cfg.B0)
-    for part in chunks:
-        code_rows[part] = nearest_level_codes(blocks[part] / divisor[part], cb)
-    if tail.size:
-        code_tail[:] = nearest_level_codes(tail / divisor[-1], cb)
-
     s_codes, gmax, _ = _unsigned_codes(absmax, cfg.b1, cfg.B1)
     scales = cast_float(gmax, cfg.b2)
+    shat = _block_scales(s_codes, scales, cfg)
 
     # Blocks whose coded scale reconstructs to zero carry no signal in
-    # their entry codes; store the zero level there so repeated
-    # quantize/dequantize round trips are byte-stable.
-    shat = _block_scales(s_codes, scales, cfg)
-    code_rows[shat[:len(code_rows)] == 0.0] = cb.zero_index
-    if tail.size and shat[-1] == 0.0:
-        code_tail[:] = cb.zero_index
+    # their entry codes; an infinite divisor sends every entry to +-0, so
+    # they code to the zero level, and repeated quantize/dequantize round
+    # trips are byte-stable.  The division promotes to float64.
+    absmax[shat == 0.0] = np.inf
+    codes = np.empty(a.size, dtype=np.uint8)
+    for ent, blk, width in chunks:
+        rows = flat[ent].reshape(-1, width)
+        codes[ent] = nearest_level_codes(rows / absmax[blk, None], cb).reshape(-1)
     shape = a.shape
 
     def pack() -> QuantizedMatrix:
@@ -328,14 +296,11 @@ def _decode(shape, codes: np.ndarray, shat: np.ndarray, cfg: QuantConfig,
     levels = build_codebook(cfg.b0).levels
     if out is None:
         out = np.empty(shape, dtype=np.float32)
-    rows, tail = _split_blocks(codes, cfg.B0)
-    dst, dst_tail = _split_blocks(out.reshape(-1), cfg.B0)
-    scales = shat[:len(rows), None]
+    dst = out.reshape(-1)
     # the product is taken in float64 and rounded once, into out
-    for part in _row_chunks(rows):
-        np.multiply(np.take(levels, rows[part]), scales[part], out=dst[part])
-    if tail.size:
-        np.multiply(np.take(levels, tail), shat[-1], out=dst_tail)
+    for ent, blk, width in _chunks(codes.size, cfg.B0):
+        np.multiply(np.take(levels, codes[ent]).reshape(-1, width), shat[blk, None],
+                    out=dst[ent].reshape(-1, width))
     return out
 
 
@@ -344,22 +309,15 @@ def quantize_nf(m, cfg: QuantConfig) -> QuantizedMatrix:
     return _encode(m, cfg)[-1]()
 
 
-def quantize_values(m, cfg: QuantConfig):
-    """One encode as ``(values, pack)``: values exactly equal to
-    ``dequantize(quantize_nf(m, cfg))``, ``pack()`` that container."""
-    # _encode returns before decoding, so its float64 temporaries are
-    # freed before the decode allocates its own.
-    shape, codes, shat, pack = _encode(m, cfg)
-    return _decode(shape, codes, shat, cfg), pack
-
-
 def _block_scales(s_codes: np.ndarray, group_scales: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     """Reconstructed per-block scale vector, in float64."""
-    rows = _block_rows(s_codes.astype(np.float64), cfg.B1)
     # multiply before dividing: exact for codes up to 8 bits against
     # float32-representable group scales
-    shat = (rows * group_scales.astype(np.float64)[:, None]) / ((1 << cfg.b1) - 1)
-    return shat.reshape(-1)[:s_codes.size]
+    n = s_codes.size
+    shat = np.repeat(group_scales.astype(np.float64), min(cfg.B1, n))[:n]
+    shat *= s_codes
+    shat /= (1 << cfg.b1) - 1
+    return shat
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:

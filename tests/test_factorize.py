@@ -270,6 +270,12 @@ class TestWeightedError:
         with pytest.raises(ValueError):
             weighted_error(np.zeros((2, 2), dtype=np.float32), f=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("rows, cols", [(3, 0), (0, 5)])
+    def test_no_entries_is_zero(self, rows, cols):
+        # no columns: the row chunking must not divide by the row length
+        fac = LowRankFactors(np.zeros((rows, 2)), np.zeros((2, cols)))
+        assert weighted_error(np.zeros((rows, cols)), None, fac) == 0.0
+
 
 def reference_weighted_error(w, q_dequant=None, factors=None, f=None):
     """The error as first written: every term a new float64 array."""

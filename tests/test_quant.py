@@ -18,6 +18,9 @@ from lqdec.quant import (
     HEADER_BYTES,
     QuantConfig,
     QuantizedMatrix,
+    _CHUNK_ENTRIES,
+    _chunks,
+    _decode,
     _encode,
     cast_float,
     dequantize,
@@ -25,16 +28,21 @@ from lqdec.quant import (
     matmul_dequant,
     nearest_level_codes,
     quantize_nf,
-    quantize_values,
     read_quantized,
     rtn_quantize_unsigned,
     storage_bits_per_param,
-    storage_bits_ratio,
     write_quantized,
 )
 from lqdec.tensor_io import gen_matrix
 
 CFG = QuantConfig(4, 8, "fp32", 64, 256)
+
+
+def encode_decode(m, cfg):
+    """One `_encode` then a `_decode` into the encoded buffer, as `lq_decompose` runs them."""
+    target = np.array(m, dtype=np.float32)
+    shape, codes, shat, _ = _encode(target, cfg)
+    return _decode(shape, codes, shat, cfg, out=target)
 
 
 class TestQuantConfig:
@@ -72,9 +80,9 @@ class TestQuantConfig:
     def test_storage_bits_exact(self, cfg, expected):
         assert storage_bits_per_param(QuantConfig(*cfg)) == expected
 
-    def test_storage_bits_ratio_is_the_sum_in_lowest_terms(self):
+    def test_bits_ratio_is_the_sum_in_lowest_terms(self):
         for cfg in default_grid().configs + (QuantConfig(3, 4, "bf16", 48, 3),):
-            num, den = storage_bits_ratio(cfg)
+            num, den = cfg.bits_ratio
             width = {"fp32": 32, "fp16": 16, "bf16": 16}[cfg.b2]
             want = cfg.b0 + Fraction(cfg.b1, cfg.B0) + Fraction(width, cfg.B0 * cfg.B1)
             assert (num, den) == (want.numerator, want.denominator)
@@ -270,15 +278,15 @@ class TestQuantizeNF:
         seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_quantize_values_matches_round_trip(self, rows, cols, b0, b1, b2, B0, B1,
-                                                zero_rows, seed):
+    def test_encode_decode_matches_round_trip(self, rows, cols, b0, b1, b2, B0, B1,
+                                               zero_rows, seed):
         # block sizes range past the entry count (at most 144) and over
         # non-powers of two; zeroed rows leave all-zero (dead) blocks
         rng = np.random.default_rng(seed)
         w = (rng.standard_normal((rows, cols)) * rng.uniform(1e-3, 1e3)).astype(np.float32)
         w[[r for r in zero_rows if r < rows]] = 0.0
         cfg = QuantConfig(b0, b1, b2, B0, B1)
-        fused = quantize_values(w, cfg)[0]
+        fused = encode_decode(w, cfg)
         reference = dequantize(quantize_nf(w, cfg))
         assert fused.dtype == reference.dtype and fused.shape == reference.shape
         assert fused.tobytes() == reference.tobytes()
@@ -369,7 +377,7 @@ class TestMatchesReferenceEncoder:
         assert q.codes == pack_bits(codes, b0)
         assert q.s_codes == pack_bits(s_codes, b1)
         assert q.group_scales.tobytes() == scales.tobytes()
-        assert quantize_values(w, cfg)[0].tobytes() == values.tobytes()
+        assert encode_decode(w, cfg).tobytes() == values.tobytes()
         assert dequantize(q).tobytes() == values.tobytes()
 
     @given(
@@ -462,23 +470,45 @@ class TestMatchesPerEntryKernels:
             assert q.codes == pack_bits(codes, cfg.b0), cfg
             assert q.s_codes == pack_bits(s_codes, cfg.b1), cfg
             assert q.group_scales.tobytes() == scales.tobytes(), cfg
-            assert quantize_values(w, cfg)[0].tobytes() == values.tobytes(), cfg
+            assert encode_decode(w, cfg).tobytes() == values.tobytes(), cfg
             assert dequantize(q).tobytes() == values.tobytes(), cfg
 
 
 @pytest.mark.parametrize("label", ["3,8,fp32,64,256", "4,8,bf16,16,16", "2,2,fp16,7,5"])
-def test_quantize_values_peak_memory(label):
+def test_encode_decode_peak_memory(label):
     # per-entry float64 spreads of the block scales took 5.35-5.63x
     w = gen_matrix("gaussian", 512, 512, seed=0)
     cfg = QuantConfig.parse(label)
-    quantize_values(w, cfg)  # builds the codebook outside the trace
+    encode_decode(w, cfg)  # builds the codebook outside the trace
     tracemalloc.start()
     try:
-        quantize_values(w, cfg)
+        encode_decode(w, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * w.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 2 ** 15 + 3, 255 * 689])
+def test_chunks_walk_blocks_as_views(n):
+    flat = np.arange(n, dtype=np.float64)
+    for size in (1, 7, 16, 64, 1000, n + 1):
+        chunks = _chunks(n, size)
+        full = min(size, n)
+        # entry and block slices each cover their range once, in order
+        for spans, stop in (([c[0] for c in chunks], n), ([c[1] for c in chunks], -(-n // size))):
+            assert [s.start for s in spans] == [0] + [s.stop for s in spans[:-1]]
+            assert spans[-1].stop == stop and all(s.stop > s.start and s.step is None for s in spans)
+        for i, (ent, blk, width) in enumerate(chunks):
+            rows = flat[ent].reshape(-1, width)
+            assert np.shares_memory(rows, flat)
+            # one block per row
+            assert np.array_equal(rows[:, 0], np.arange(blk.start, blk.stop) * full)
+            if width == full:
+                assert rows.size <= max(_CHUNK_ENTRIES, width)
+            else:  # the partial last block, alone
+                assert i == len(chunks) - 1 and rows.shape == (1, n % full)
+    assert _chunks(0, n) == []
 
 
 @pytest.mark.parametrize("shape", [(255, 689), (256, 688)])
@@ -544,7 +574,7 @@ class TestContainer:
         back = read_quantized(path)
         assert back.config == cfg
         assert np.array_equal(dequantize(back), dequantize(exact))
-        assert np.array_equal(quantize_values(w, cfg)[0], dequantize(exact))
+        assert np.array_equal(encode_decode(w, cfg), dequantize(exact))
 
     @pytest.mark.parametrize("fmt", ["fp32", "fp16", "bf16"])
     def test_scale_serialization_exact(self, tmp_path, fmt):
