@@ -30,7 +30,6 @@ from .quant import (
     cast_float,
     dequantize,
     exact_container_bytes,
-    matmul_dequant,
     quantize_nf,
     read_quantized,
     rtn_quantize_unsigned,
@@ -80,7 +79,6 @@ __all__ = [
     "inverse_normal_cdf",
     "lq_decompose",
     "lq_lora_init",
-    "matmul_dequant",
     "model_preset",
     "normal_cdf",
     "pack_bits",

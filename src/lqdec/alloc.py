@@ -207,16 +207,30 @@ class AllocSolution:
 
     @classmethod
     def from_json(cls, payload: dict) -> "AllocSolution":
-        return cls(
-            assignment=[int(a) for a in payload["assignment"]],
-            total_error=float(payload["total_error"]),
-            total_storage_bits=Fraction(payload["total_storage_bits"]),
-            budget_bits=Fraction(payload["budget_bits"]),
-            optimal=bool(payload["optimal"]),
-            nodes=payload.get("nodes"),
-            bounds=payload.get("bounds"),
-            lp_bound=payload.get("lp_bound"),
-        )
+        """Parse a `to_json` payload; a missing or malformed field raises FormatError."""
+        if not isinstance(payload, dict):
+            raise FormatError(f"an allocation is a JSON object, not {type(payload).__name__}")
+        # checked, not coerced: int(1.7) is 1 and bool("false") is True; files
+        # written before the search reported its work have no statistics
+        data = {"nodes": None, "bounds": None, "lp_bound": None, **payload}
+        number, none = (int, float), type(None)
+        expected = {"assignment": (list,), "total_error": number, "total_storage_bits": (str,),
+                    "budget_bits": (str,), "optimal": (bool,), "nodes": (int, none),
+                    "bounds": (int, none), "lp_bound": (*number, none)}
+        for name, kinds in expected.items():
+            if name not in data:
+                raise FormatError(f"allocation has no {name!r} field")
+            if type(data[name]) not in kinds:
+                raise FormatError(f"allocation {name} has the wrong type: {data[name]!r}")
+        if not all(type(a) is int and a >= 0 for a in data["assignment"]):
+            raise FormatError(f"allocation assignment must be config indices, got {data['assignment']!r}")
+        for name, parse in (("total_error", float), ("total_storage_bits", Fraction),
+                            ("budget_bits", Fraction)):
+            try:
+                data[name] = parse(data[name])
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise FormatError(f"allocation {name} is malformed: {data[name]!r}") from None
+        return cls(**{name: data[name] for name in expected})
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quant
-from .factorize import LowRankFactors, factorize, fisher_scalers, weighted_error
+from .factorize import LowRankFactors, _residual_into, factorize, fisher_scalers, weighted_error
 from .quant import QuantConfig, QuantizedMatrix, dequantize, quantize_nf
 
 REASON_INCREASED = "error-increased"
@@ -75,11 +75,13 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
         f = fisher_scalers(f)
 
     # W is held once, in float32; each difference with it is formed in
-    # float64.  r, the residual W - dequantize(Q) the next factorization
-    # splits, is one buffer that every iteration rewrites.
+    # float64.  r is the one float64 buffer: it holds the residual
+    # W - dequantize(Q) the next factorization splits, then, dead once
+    # split, the product L1 L2 and the iterate's weighted residual.
     reference = weighted_error(w32, None, None, f)
     r = w32.astype(np.float64) if init == "zero" else np.subtract(
         w32, dequantize(quantize_nf(w32, cfg)), dtype=np.float64)
+    rows = quant._chunks(r.size, r.shape[1])
 
     trace: list[float] = []
     best = chosen = None  # the least-error iterate's (pack, factors), index
@@ -88,30 +90,24 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
     fac = None
     target = np.empty_like(w32)
     for t in range(1, max_iters + 1):
+        # a weighted factorization scales r in place
         fac = factorize(r, f, rank, method=method, seed=derive_seed(seed, t),
-                        start=None if fac is None else fac.l2)
+                        start=None if fac is None else fac.l2, _overwrite=True)
         fac = LowRankFactors(
             l1=np.ascontiguousarray(fac.l1, dtype=np.float32),
             l2=np.ascontiguousarray(fac.l2, dtype=np.float32),
         )
-        prod = fac.product()
-        # the float64 difference, rounded once to float32
-        np.subtract(w32, prod, out=target)
+        # the float64 difference W - L1 L2, rounded once to float32
+        np.subtract(w32, fac.product(out=r), out=target)
         # one encode: the winner is packed from the codes it was scored
         # with; the target, dead once encoded, takes the decoded values
         shape, codes, shat, pack = quant._encode(target, cfg)
         deq = quant._decode(shape, codes, shat, cfg, out=target)
-        # r = W - deq: widening W into r first is faster than letting
-        # numpy cast the float32 operand inside the subtraction
-        np.copyto(r, w32)
-        r -= deq
-        # (W - deq) - prod, in that order, weighted by sqrt(F), all in
-        # prod's buffer
-        np.subtract(r, prod, out=prod)
+        # (W - deq) - L1 L2, in weighted_error's order, weighted by sqrt(F)
+        _residual_into(r, w32, deq, rows)
         if f is not None:
-            prod *= f.root
-        eps = weighted_error(prod)
-        del prod  # freed before the next factorization
+            r *= f.root
+        eps = weighted_error(r)
         trace.append(eps)
         if best is None or eps < trace[chosen]:
             best, chosen = (pack, fac), t - 1
@@ -122,6 +118,10 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
             reason = REASON_INCREASED
             break
         prev = eps
+        # r = W - deq: widening W into r first is faster than letting
+        # numpy cast the float32 operand inside the subtraction
+        np.copyto(r, w32)
+        r -= deq
 
     return LQResult(
         q=best[0](),

@@ -49,9 +49,10 @@ class LowRankFactors:
     def rank(self) -> int:
         return self.l1.shape[1]
 
-    def product(self) -> np.ndarray:
-        """Dense reconstruction, accumulated in float64."""
-        return np.asarray(self.l1, dtype=np.float64) @ np.asarray(self.l2, dtype=np.float64)
+    def product(self, out: np.ndarray = None) -> np.ndarray:
+        """Dense reconstruction, accumulated in float64, into `out` when given."""
+        return np.matmul(np.asarray(self.l1, dtype=np.float64),
+                         np.asarray(self.l2, dtype=np.float64), out=out)
 
 
 def _rayleigh_ritz(a, y, rank: int):
@@ -100,14 +101,16 @@ def fisher_scalers(f) -> WeightScalers:
     """
     if isinstance(f, WeightScalers):
         return f
-    f = np.asarray(f, dtype=np.float64)
+    f = np.asarray(f)
+    if f.dtype.kind != "f" or f.itemsize > 8:  # a float F is checked and rooted as given
+        f = f.astype(np.float64)
     if f.ndim != 2:
         raise ValueError("expected a 2-d importance matrix")
     if not np.all(np.isfinite(f)):
         raise ValueError("importance weights must be finite")
     if np.any(f < 0):
         raise ValueError("importance weights must be nonnegative")
-    root = np.sqrt(f)
+    root = np.sqrt(f, dtype=np.float64)
     row = root.mean(axis=1)
     col = root.mean(axis=0)
     if row.max() == 0.0:
@@ -118,7 +121,7 @@ def fisher_scalers(f) -> WeightScalers:
 
 
 def factorize(a, f=None, rank: int = 1, method: str = "exact", seed: int = 0,
-              start=None) -> LowRankFactors:
+              start=None, *, _overwrite: bool = False) -> LowRankFactors:
     """Best (or sketched) rank-`rank` factors, importance-weighted when `f` is given.
 
     The singular spectrum is split evenly: L1 = U sqrt(S), L2 = sqrt(S) V^T,
@@ -127,7 +130,8 @@ def factorize(a, f=None, rank: int = 1, method: str = "exact", seed: int = 0,
     the row/column scaled matrix and unscales the factors.  `start`, a
     rank x k L2 of a nearby matrix in the same (unscaled) coordinates as
     the result, warm-starts the randomized range finder; the exact method
-    checks its shape but does not use it.
+    checks its shape but does not use it.  No argument is written to, but
+    the alternating loop's `_overwrite` lets it scale its dead residual.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -145,7 +149,7 @@ def factorize(a, f=None, rank: int = 1, method: str = "exact", seed: int = 0,
         if scalers.root.shape != a.shape:
             raise ValueError(f"importance shape {scalers.root.shape} does not match "
                              f"matrix shape {a.shape}")
-        a = scalers.d_row[:, None] * a
+        a = np.multiply(scalers.d_row[:, None], a, out=a if _overwrite else None)
         a *= scalers.d_col
         if start is not None:
             start = start * scalers.d_col[None, :]
@@ -185,6 +189,16 @@ def factorize(a, f=None, rank: int = 1, method: str = "exact", seed: int = 0,
     return LowRankFactors(l1=l1, l2=l2)
 
 
+def _residual_into(acc, w, q, chunks) -> None:
+    """acc = (W - Q) - acc in place, W - Q formed in float64 one chunk of rows at a time.
+
+    `chunks` is ``_chunks(acc.size, acc.shape[1])``; Q may be None.
+    """
+    for _, part, _ in chunks:
+        diff = w[part] if q is None else np.subtract(w[part], q[part], dtype=np.float64)
+        np.subtract(diff, acc[part], out=acc[part])
+
+
 def weighted_error(w, q_dequant=None, factors=None, f=None) -> float:
     """Frobenius norm of sqrt(F) . (W - (Q + L1 L2)), in float64.
 
@@ -206,15 +220,9 @@ def weighted_error(w, q_dequant=None, factors=None, f=None) -> float:
         acc = factors.product()
         if acc.shape != w.shape:
             raise ValueError(f"factor shape {acc.shape} does not match {w.shape}")
-        # W - Q in cache-sized float64 chunks of rows, minus the product
-        # in place; a matrix with no entries has no chunks
-        for _, part, _ in _chunks(acc.size, acc.shape[1]):
-            diff = w[part] if q is None else np.subtract(w[part], q[part], dtype=np.float64)
-            np.subtract(diff, acc[part], out=acc[part])
-    elif q is not None:
-        acc = np.subtract(w, q, dtype=np.float64)
+        _residual_into(acc, w, q, _chunks(acc.size, acc.shape[1]))
     else:
-        acc = np.asarray(w, dtype=np.float64)
+        acc = np.asarray(w, dtype=np.float64) if q is None else np.subtract(w, q, dtype=np.float64)
     if f is not None:
         root = fisher_scalers(f).root
         if root.shape != acc.shape:

@@ -329,27 +329,6 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     return _decode((q.rows, q.cols), codes, _block_scales(s_codes, q.group_scales, cfg), cfg)
 
 
-def matmul_dequant(x, q: QuantizedMatrix, factors=None) -> np.ndarray:
-    """Multiply activations by a quantized matrix, plus optional factors.
-
-    Computes x @ dequantize(q) (+ (x @ L1) @ L2 when factors are given)
-    without materializing anything beyond the dequantized weight.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float32)
-    if x.ndim != 2:
-        raise ValueError("activations must be 2-d")
-    if x.shape[1] != q.rows:
-        raise ValueError(f"activation width {x.shape[1]} does not match matrix rows {q.rows}")
-    out = x @ dequantize(q)
-    if factors is not None:
-        l1 = np.asarray(factors.l1, dtype=np.float32)
-        l2 = np.asarray(factors.l2, dtype=np.float32)
-        if l1.shape[0] != q.rows or l2.shape[1] != q.cols or l1.shape[1] != l2.shape[0]:
-            raise ValueError("factor shapes do not match the quantized matrix")
-        out = out + (x @ l1) @ l2
-    return out
-
-
 # ---------------------------------------------------------------------------
 # container serialization
 # ---------------------------------------------------------------------------

@@ -672,6 +672,41 @@ class TestJsonRoundTrips:
         assert old.nodes is None and old.bounds is None and old.lp_bound is None
         assert old.assignment == [1]
 
+    @pytest.mark.parametrize("field, value", [
+        ("assignment", [1.7, True]), ("assignment", [-1, 0]), ("assignment", "10"),
+        ("total_error", "0.5"), ("total_error", True),
+        ("total_storage_bits", 3.5), ("total_storage_bits", "x/y"),
+        ("budget_bits", "1/0"), ("optimal", "false"), ("optimal", 1),
+        ("nodes", 1.5), ("bounds", True), ("lp_bound", "0.25"),
+    ], ids=["assignment-floats", "assignment-negative", "assignment-text",
+            "error-text", "error-bool", "storage-float", "storage-text",
+            "budget-zero-denominator", "optimal-text", "optimal-int",
+            "nodes-float", "bounds-bool", "lp-bound-text"])
+    def test_alloc_solution_field_of_wrong_type_is_malformed(self, field, value):
+        # checked, not coerced: int(1.7) is 1, bool(True) is 1 and
+        # bool("false") is True
+        payload = AllocSolution(assignment=[1, 0], total_error=0.5,
+                                total_storage_bits=Fraction(3), budget_bits=Fraction(4),
+                                optimal=True, nodes=12, bounds=40, lp_bound=0.375).to_json()
+        payload[field] = value
+        with pytest.raises(FormatError, match=field):
+            AllocSolution.from_json(payload)
+
+    @pytest.mark.parametrize("field", ["assignment", "total_error", "total_storage_bits",
+                                       "budget_bits", "optimal"])
+    def test_alloc_solution_missing_field_is_malformed(self, field):
+        payload = AllocSolution(assignment=[1], total_error=0.5,
+                                total_storage_bits=Fraction(3), budget_bits=Fraction(4),
+                                optimal=False).to_json()
+        del payload[field]
+        with pytest.raises(FormatError, match=field):
+            AllocSolution.from_json(payload)
+
+    @pytest.mark.parametrize("payload", [[1, 0], "solution", None])
+    def test_alloc_solution_not_an_object_is_malformed(self, payload):
+        with pytest.raises(FormatError, match="JSON object"):
+            AllocSolution.from_json(payload)
+
     def test_table_without_configs_is_malformed(self):
         payload = make_table([[1.0]]).to_json()
         payload["configs"], payload["errors"] = [], [[]]

@@ -319,12 +319,14 @@ def test_peak_memory(weighted, bound):
     assert peak <= bound * w.nbytes
 
 
-@pytest.mark.parametrize("weighted, bound", [(False, 7.0), (True, 9.0)],
+@pytest.mark.parametrize("weighted, bound", [(False, 5.0), (True, 7.0)],
                          ids=["plain", "weighted"])
 def test_peak_memory_one_buffer_per_role(weighted, bound):
-    # each iterate decoded into the target buffer, the weighted residual
-    # scaled inside the product's buffer and the block maxima taken per
-    # chunk: 6.5x and 8.5x measured, 7.5x and 9.7x before
+    # each iterate decoded into the target buffer, the product, the
+    # weighted scaling and the weighted residual all in the residual's
+    # buffer, and the block maxima taken per chunk: 4.6x and 6.6x
+    # measured, 6.5x and 8.5x with a buffer of its own for the product
+    # and a scaled copy in each weighted factorization
     w = gen_matrix("gaussian", 256, 688, seed=16)
     f = gen_fisher("random-nonneg", 256, 688, seed=16) if weighted else None
     cfg = QuantConfig.parse("3,8,fp32,64,256")

@@ -331,12 +331,14 @@ class TestWeightedErrorBuffers:
         assert [a.tobytes() for a in (w, q, fac.l1, fac.l2, f, sc.root)] == before
 
     # the shape of test_peak_memory; 8.0x and 6.0x when each term was a
-    # new float64 array
-    @pytest.mark.parametrize("terms, bound", [("both", 3.5), ("q", 2.5)])
+    # new float64 array.  A raw float32 F adds its float64 root, 4.26x
+    # measured, where a float64 copy of F before the root took 6.18x.
+    @pytest.mark.parametrize("terms, bound", [("both", 3.5), ("q", 2.5), ("both+f", 4.6)])
     def test_peak_memory(self, terms, bound):
-        w, q, fac, _ = error_inputs(256, 688, np.float32, seed=16)
-        with_q, with_fac = TERMS[terms]
-        args = (w, q if with_q else None, fac if with_fac else None)
+        w, q, fac, f = error_inputs(256, 688, np.float32, seed=16)
+        with_q, with_fac = TERMS[terms.removesuffix("+f")]
+        args = (w, q if with_q else None, fac if with_fac else None,
+                f if terms.endswith("+f") else None)
         weighted_error(*args)
         tracemalloc.start()
         try:
@@ -345,6 +347,20 @@ class TestWeightedErrorBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= bound * w.nbytes
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("method", ["exact", "randomized"])
+def test_factorize_leaves_arguments_unchanged(method, weighted):
+    # the alternating loop scales its own dead residual in place; the
+    # public call never writes a, start or F
+    a = gen_matrix("gaussian", 40, 32, seed=23).astype(np.float64)
+    start = gen_matrix("gaussian", 4, 32, seed=24).astype(np.float64)
+    f = gen_fisher("random-nonneg", 40, 32, seed=23) if weighted else None
+    kept = [a, start] if f is None else [a, start, f]
+    before = [x.tobytes() for x in kept]
+    factorize(a, f, rank=4, method=method, seed=23, start=start)
+    assert [x.tobytes() for x in kept] == before
 
 
 class TestParsedWeights:
@@ -356,6 +372,14 @@ class TestParsedWeights:
         assert isinstance(sc, WeightScalers)
         assert fisher_scalers(sc) is sc
         assert sc.root.tobytes() == np.sqrt(f.astype(np.float64)).tobytes()
+
+    @pytest.mark.parametrize("form", ["list", "int64", "bool", "float16"])
+    def test_any_numeric_form_roots_as_float64(self, form):
+        # a float F is rooted as given, anything else widened first
+        f = np.array([[4, 16, 0], [64, 4, 1]])
+        given = {"list": f.tolist(), "int64": f, "bool": f > 2, "float16": f.astype(np.float16)}[form]
+        want = np.sqrt(np.asarray(given).astype(np.float64))
+        assert fisher_scalers(given).root.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_weighted_error_rejects_nonfinite(self, bad):

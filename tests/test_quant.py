@@ -25,7 +25,6 @@ from lqdec.quant import (
     cast_float,
     dequantize,
     exact_container_bytes,
-    matmul_dequant,
     nearest_level_codes,
     quantize_nf,
     read_quantized,
@@ -687,31 +686,3 @@ class TestQuantizedMatrixValidation:
             QuantizedMatrix(rows=4, cols=4, config=cfg,
                             codes=b"\x00" * 4, s_codes=b"\x00",
                             group_scales=-np.ones(1, dtype=np.float32))
-
-
-class TestMatmulDequant:
-    def test_matches_dense_reconstruction(self):
-        rng = np.random.default_rng(8)
-        w = rng.standard_normal((32, 48)).astype(np.float32)
-        x = rng.standard_normal((5, 32)).astype(np.float32)
-        q = quantize_nf(w, CFG)
-        got = matmul_dequant(x, q)
-        want = x @ dequantize(q)
-        assert np.allclose(got, want, rtol=1e-6, atol=1e-6)
-
-    def test_with_factors(self):
-        from lqdec.factorize import factorize
-        rng = np.random.default_rng(9)
-        w = rng.standard_normal((24, 24)).astype(np.float32)
-        x = rng.standard_normal((3, 24)).astype(np.float32)
-        q = quantize_nf(w, CFG)
-        fac = factorize(np.asarray(w, dtype=np.float64), rank=4)
-        got = matmul_dequant(x, q, fac)
-        want = x @ dequantize(q) + (x @ fac.l1) @ fac.l2
-        assert np.allclose(got, want, rtol=1e-6, atol=1e-6)
-
-    def test_shape_mismatch(self):
-        rng = np.random.default_rng(10)
-        q = quantize_nf(rng.standard_normal((8, 8)).astype(np.float32), QuantConfig(2, 2, "fp32", 4, 4))
-        with pytest.raises(ValueError):
-            matmul_dequant(np.zeros((2, 9), dtype=np.float32), q)
