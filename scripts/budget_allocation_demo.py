@@ -58,9 +58,10 @@ def main():
     print("-" * 72)
     budgets = [Fraction(text) for text in args.budgets.split(",")]
     total_params = sum(table.sizes)
+    solved = {}
     for budget in budgets:
         try:
-            sol = solve_mckp(table, budget * total_params)
+            sol = solved[budget] = solve_mckp(table, budget * total_params)
         except InfeasibleBudgetError as exc:
             floor = float(exc.min_storage_bits) / total_params
             print(f"{float(budget):>7.2f} infeasible (needs >= {floor:.4f} bits/param)")
@@ -72,10 +73,11 @@ def main():
         print(f"{float(budget):>7.2f} {used:>7.4f} {sol.total_error:>12.4f}  {labels}")
 
     print()
+    if not solved:
+        print("no budget is feasible")
+        return 0
     print("per-matrix bits at the tightest feasible budget:")
-    floor = sum(min(row) for row in table.storage_bits)
-    feasible = [b for b in budgets if b * total_params >= floor]
-    sol = solve_mckp(table, min(feasible) * total_params)
+    sol = solved[min(solved)]
     for name, ci in zip(names, sol.assignment):
         print(f"  {name:>9}: {float(storage_bits_per_param(table.configs[ci])):.4f}")
     return 0

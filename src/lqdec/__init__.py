@@ -32,7 +32,6 @@ from .quant import (
     exact_container_bytes,
     quantize_nf,
     read_quantized,
-    rtn_quantize_unsigned,
     storage_bits_per_param,
     write_quantized,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "read_fisher",
     "read_quantized",
     "read_tensor",
-    "rtn_quantize_unsigned",
     "solve_mckp",
     "storage_bits_per_param",
     "storage_report",

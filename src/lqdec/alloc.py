@@ -293,9 +293,11 @@ def sweep(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
     with contextlib.ExitStack() as stack:
         squared = (cell(i, ci).error ** 2 for i, ci in pending)
         if workers > 1 and len(pending) > 1:
+            chunksize = 4  # a pool starts all its workers at once: one a chunk at most
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_sweep_worker, initargs=(cell,)))
-            squared = pool.map(_pool_squared_error, pending, chunksize=4)
+                max_workers=min(workers, math.ceil(len(pending) / chunksize)),
+                initializer=_init_sweep_worker, initargs=(cell,)))
+            squared = pool.map(_pool_squared_error, pending, chunksize=chunksize)
         # results arrive in the row-major order of `pending`, so a row is
         # complete at its last pending cell
         for k, ((i, ci), err) in enumerate(zip(pending, squared)):
@@ -689,22 +691,14 @@ class StorageReport:
     def effective_bits_per_param(self) -> float:
         return float((self.quant_bits + self.lora_bits) / self.total_params)
 
-    @property
-    def quant_bytes(self) -> float:
-        return float(self.quant_bits / 8)
-
-    @property
-    def lora_bytes(self) -> float:
-        return float(self.lora_bits / 8)
-
     def to_json(self) -> dict:
         return {
             "total_params": self.total_params,
             "lora_params": self.lora_params,
             "quant_bits": str(self.quant_bits),
             "lora_bits": str(self.lora_bits),
-            "quant_bytes": self.quant_bytes,
-            "lora_bytes": self.lora_bytes,
+            "quant_bytes": float(self.quant_bits / 8),
+            "lora_bytes": float(self.lora_bits / 8),
             "effective_bits_per_param": self.effective_bits_per_param,
         }
 

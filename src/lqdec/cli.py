@@ -28,7 +28,6 @@ from .alloc import (
     ConfigGrid,
     LORA_FORMATS,
     SweepTable,
-    brute_force_mckp,
     default_grid,
     lq_lora_init,
     solve_mckp,
@@ -84,10 +83,14 @@ def _fraction_list(text: str) -> list:
 
 def _workers_default(value) -> int:
     """--workers, else LQDEC_WORKERS, else 1; a count below 1 is a usage error."""
-    workers = int(os.environ.get("LQDEC_WORKERS", "1")) if value is None else value
-    if workers < 1:
-        raise UsageError(f"worker count must be at least 1, got {workers}")
-    return workers
+    if value is None:
+        try:
+            value = int(os.environ.get("LQDEC_WORKERS", "1"))
+        except ValueError as exc:
+            raise UsageError(f"LQDEC_WORKERS: {exc}") from None
+    if value < 1:
+        raise UsageError(f"worker count must be at least 1, got {value}")
+    return value
 
 
 def _atomic_write_json(path: Path, payload):
@@ -315,14 +318,12 @@ def cmd_allocate(args) -> int:
     start = time.perf_counter()
     table = _parse_table(args.table, _read_json(args.table, "sweep table"))
     budget_bits = args.budget_bits_per_param * sum(table.sizes)
-    solver = brute_force_mckp if args.brute_force else solve_mckp
-    solution = solver(table, budget_bits)
+    solution = solve_mckp(table, budget_bits)
     out = Path(args.output)
     _atomic_write_json(out, solution.to_json())
     _write_manifest(out, "allocate", {
         "table": str(args.table),
         "budget_bits_per_param": str(args.budget_bits_per_param),
-        "brute_force": bool(args.brute_force),
     }, [args.table], [out], time.perf_counter() - start,
                     {"nodes": solution.nodes, "bounds": solution.bounds,
                      "lp_bound": solution.lp_bound})
@@ -394,8 +395,7 @@ def cmd_report(args) -> int:
         raise UsageError("exactly one of --preset and --shapes is required")
     shapes = model_preset(args.preset).shapes() if args.preset else _parse_shapes(args.shapes)
     quant_bits = args.quant_bits if len(args.quant_bits) > 1 else args.quant_bits[0]
-    lora_bits = args.lora_bits if args.lora_bits is not None else LORA_FORMATS[args.lora_format]
-    report = storage_report(shapes, quant_bits, args.lora_rank, lora_bits)
+    report = storage_report(shapes, quant_bits, args.lora_rank, args.lora_bits)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0
 
@@ -478,7 +478,6 @@ def build_parser() -> _Parser:
     al.add_argument("table")
     al.add_argument("-o", "--output", required=True)
     al.add_argument("--budget-bits-per-param", type=_fraction, required=True)
-    al.add_argument("--brute-force", action="store_true")
     al.set_defaults(func=cmd_allocate)
 
     it = sub.add_parser("init", parents=[sweep_opts],
@@ -493,9 +492,8 @@ def build_parser() -> _Parser:
     rp.add_argument("--quant-bits", type=_fraction_list, required=True,
                     help="bits per quantized param, one value or comma list")
     rp.add_argument("--lora-rank", type=int, default=0)
-    rp.add_argument("--lora-format", choices=sorted(LORA_FORMATS), default="nf8")
-    rp.add_argument("--lora-bits", type=_fraction, default=None,
-                    help="override bits per adapter param")
+    rp.add_argument("--lora-bits", type=_fraction, default=LORA_FORMATS["nf8"],
+                    help="bits per adapter param (default: 4161/512, NF8 coding; 16 for fp16)")
     rp.set_defaults(func=cmd_report)
 
     return parser

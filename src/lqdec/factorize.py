@@ -192,10 +192,15 @@ def factorize(a, f=None, rank: int = 1, method: str = "exact", seed: int = 0,
 def _residual_into(acc, w, q, chunks) -> None:
     """acc = (W - Q) - acc in place, W - Q formed in float64 one chunk of rows at a time.
 
-    `chunks` is ``_chunks(acc.size, acc.shape[1])``; Q may be None.
+    `chunks` is ``_chunks(acc.size, acc.shape[1])``; Q may be None.  W is
+    widened, and Q subtracted, in one scratch chunk made once per call.
     """
+    scratch = np.empty_like(acc[chunks[0][1]]) if chunks else None
     for _, part, _ in chunks:
-        diff = w[part] if q is None else np.subtract(w[part], q[part], dtype=np.float64)
+        diff = scratch[:part.stop - part.start]
+        np.copyto(diff, w[part])
+        if q is not None:
+            diff -= q[part]
         np.subtract(diff, acc[part], out=acc[part])
 
 

@@ -152,7 +152,14 @@ def _chunks(n: int, size: int) -> list:
 
 
 def _unsigned_codes(values: np.ndarray, bits: int, group_size: int):
-    """Shared round-to-nearest core: returns (codes, group maxima, steps)."""
+    """Uniform unsigned round-to-nearest codes of a nonnegative float64 vector.
+
+    Per group of `group_size` entries the step is max(group) / (2**bits - 1)
+    and each code is round(value / step), half away from zero, clamped to
+    [0, 2**bits - 1]; all-zero groups get zero codes and step.  Returns
+    (codes, group maxima, steps).  Entries reconstruct as (code * group_max)
+    / (2**bits - 1): multiplying first keeps a float32 group maximum exact.
+    """
     n = values.size
     gmax = np.maximum.reduceat(values, np.arange(0, n, group_size, dtype=np.int64))
     levels = (1 << bits) - 1
@@ -164,31 +171,6 @@ def _unsigned_codes(values: np.ndarray, bits: int, group_size: int):
     # round half away from zero; inputs are nonnegative
     np.floor(np.add(x, 0.5, out=x), out=x)
     return np.clip(x, 0, levels, out=x).astype(np.uint8), gmax, steps
-
-
-def rtn_quantize_unsigned(values, bits: int, group_size: int):
-    """Uniform unsigned round-to-nearest coding of a nonnegative vector.
-
-    Per group of `group_size` entries the scale is max(group) / (2**bits - 1)
-    and each code is round(value / scale), half away from zero, clamped to
-    [0, 2**bits - 1].  All-zero groups emit zero codes and zero scale.
-    Returns (codes, per-group scales).  Reconstruct entries as
-    (code * group_max) / (2**bits - 1) -- multiplying before dividing keeps
-    the group maximum exact for inputs with float32-sized mantissas.
-    """
-    if bits not in SUPPORTED_BITS:
-        raise ValueError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
-    if group_size < 1:
-        raise ValueError("group_size must be positive")
-    arr = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot quantize an empty vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("values must be finite")
-    if np.any(arr < 0):
-        raise ValueError("values must be nonnegative")
-    codes, _, steps = _unsigned_codes(arr, bits, group_size)
-    return codes, steps
 
 
 @dataclass(frozen=True)
@@ -205,17 +187,12 @@ class QuantizedMatrix:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise FormatError("matrix dimensions must be positive")
-        n, n_blocks, n_groups = container_counts(self.rows, self.cols, self.config)
-        if len(self.codes) != packed_size(n, self.config.b0):
-            raise FormatError(
-                f"code stream holds {len(self.codes)} bytes, expected "
-                f"{packed_size(n, self.config.b0)}"
-            )
-        if len(self.s_codes) != packed_size(n_blocks, self.config.b1):
-            raise FormatError(
-                f"scale-code stream holds {len(self.s_codes)} bytes, expected "
-                f"{packed_size(n_blocks, self.config.b1)}"
-            )
+        cfg = self.config
+        n, n_blocks, n_groups = container_counts(self.rows, self.cols, cfg)
+        for name, stream, size in (("code", self.codes, packed_size(n, cfg.b0)),
+                                   ("scale-code", self.s_codes, packed_size(n_blocks, cfg.b1))):
+            if len(stream) != size:
+                raise FormatError(f"{name} stream holds {len(stream)} bytes, expected {size}")
         scales = np.ascontiguousarray(self.group_scales, dtype=np.float32)
         if scales.shape != (n_groups,):
             raise FormatError(f"expected {n_groups} group scales, got {scales.shape}")

@@ -184,11 +184,8 @@ class ModelPreset:
 
 
 def _layered(name: str, layers: int, per_layer) -> ModelPreset:
-    mats = []
-    for i in range(layers):
-        for label, r, c in per_layer:
-            mats.append((f"layer{i:02d}.{label}", r, c))
-    return ModelPreset(name=name, matrices=tuple(mats))
+    return ModelPreset(name=name, matrices=tuple(
+        (f"layer{i:02d}.{label}", r, c) for i in range(layers) for label, r, c in per_layer))
 
 
 _PRESETS = {

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from lqdec import alloc
 from lqdec.alloc import (
     AllocSolution,
     ConfigGrid,
@@ -818,6 +819,44 @@ class TestSweep:
         serial = sweep(mats, fishers, self.GRID, rank=2, seed=3, workers=1)
         parallel = sweep(mats, fishers, self.GRID, rank=2, seed=3, workers=2)
         assert np.array_equal(serial.errors, parallel.errors)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_two_workers_get_cells(self, weighted):
+        # 3 matrices x 2 configs are 6 cells: two chunks of map's 4, one
+        # for each worker, where 4 cells make a single chunk
+        mats = [gen_matrix("gaussian", 24, 16, seed=s) for s in (0, 1, 2)]
+        fishers = ([gen_fisher("separable", 24, 16, seed=s) for s in (5, 6, 7)]
+                   if weighted else None)
+        serial = sweep(mats, fishers, self.GRID, rank=2, seed=3, workers=1)
+        parallel = sweep(mats, fishers, self.GRID, rank=2, seed=3, workers=2)
+        assert np.array_equal(serial.errors, parallel.errors)
+
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        counts = []
+
+        class InlinePool:
+            """Records its worker count and maps in this process: starts none."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                counts.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(alloc, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(alloc, "_pool_cell", None)
+        mats = [gen_matrix("gaussian", 24, 16, seed=s) for s in (0, 1, 2)]
+        serial = sweep(mats, None, self.GRID, rank=2, seed=3, workers=1)
+        capped = sweep(mats, None, self.GRID, rank=2, seed=3, workers=64)
+        assert counts == [2]  # 6 cells in chunks of 4
+        assert np.array_equal(serial.errors, capped.errors)
 
     def test_resume_fills_only_missing_cells(self):
         mats = self.matrices()

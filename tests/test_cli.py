@@ -289,6 +289,16 @@ class TestExitCodes:
         assert not (tmp_path / "init").exists()
 
 
+    def test_non_integer_workers_env_var(self, tmp_path, monkeypatch, capsys):
+        m = make_matrix(tmp_path, "m.lqt")
+        table = tmp_path / "t.json"
+        monkeypatch.setenv("LQDEC_WORKERS", "two")
+        assert cli.main(["sweep", str(m), "-o", str(table)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "LQDEC_WORKERS" in err and "'two'" in err
+        assert not table.exists()
+
+
 class TestGen:
     def test_matrix_deterministic(self, tmp_path, capsys):
         a = make_matrix(tmp_path, "a.lqt", seed=7)
@@ -590,23 +600,19 @@ class TestAllocate:
         table = tmp_path / "table.json"
         assert cli.main(["sweep", *map(str, mats), "-o", str(table),
                          "--grid", str(grid)]) == 0
-        errors = {}
-        for name, extra in (("plain", []), ("brute", ["--brute-force"])):
-            sol_path = tmp_path / f"{name}.json"
-            assert cli.main(["allocate", str(table), "-o", str(sol_path),
-                             "--budget-bits-per-param", "2.5", *extra]) == 0
-            payload = json.loads(sol_path.read_text())
-            errors[name] = payload["total_error"]
-            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
-            assert manifest["nodes"] == payload["nodes"]
-            assert manifest["bounds"] == payload["bounds"]
-            assert manifest["lp_bound"] == payload["lp_bound"]
-            if extra:
-                assert payload["nodes"] is payload["bounds"] is payload["lp_bound"] is None
-            else:
-                assert payload["nodes"] >= 0 and payload["bounds"] >= 0
-                assert payload["lp_bound"] <= payload["total_error"]
-        assert errors["plain"] == errors["brute"]
+        sol_path = tmp_path / "plain.json"
+        assert cli.main(["allocate", str(table), "-o", str(sol_path),
+                         "--budget-bits-per-param", "2.5"]) == 0
+        payload = json.loads(sol_path.read_text())
+        manifest = json.loads((tmp_path / "plain.manifest.json").read_text())
+        assert manifest["nodes"] == payload["nodes"]
+        assert manifest["bounds"] == payload["bounds"]
+        assert manifest["lp_bound"] == payload["lp_bound"]
+        assert payload["nodes"] >= 0 and payload["bounds"] >= 0
+        assert payload["lp_bound"] <= payload["total_error"]
+        parsed = alloc.SweepTable.from_json(json.loads(table.read_text()))
+        want = alloc.brute_force_mckp(parsed, Fraction("2.5") * sum(parsed.sizes))
+        assert payload["total_error"] == want.total_error
 
 
 class TestInit:
@@ -686,6 +692,13 @@ class TestReport:
         assert payload["total_params"] == 256
         assert payload["lora_params"] == 64
         assert Fraction(payload["lora_bits"]) == 1024
+
+    def test_default_lora_bits_is_nf8(self, capsys):
+        argv = ["report", "--shapes", "16x16", "--quant-bits", "4", "--lora-rank", "2"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--lora-bits", "4161/512") == (0, out)
+        assert Fraction(json.loads(out)["lora_bits"]) == 64 * alloc.LORA_FORMATS["nf8"]
 
     def test_bit_totals_are_exact(self, capsys):
         code, out = run(capsys, "report", "--shapes", "4x4", "--quant-bits", "1/3",

@@ -22,13 +22,13 @@ from lqdec.quant import (
     _chunks,
     _decode,
     _encode,
+    _unsigned_codes,
     cast_float,
     dequantize,
     exact_container_bytes,
     nearest_level_codes,
     quantize_nf,
     read_quantized,
-    rtn_quantize_unsigned,
     storage_bits_per_param,
     write_quantized,
 )
@@ -131,24 +131,24 @@ class TestCastFloat:
 class TestRtnUnsigned:
     def test_frozen_small_case(self):
         # gmax 6, step 6/7; 3 * 7/6 = 3.5 rounds away from zero to 4
-        codes, steps = rtn_quantize_unsigned(np.array([3.0, 6.0]), 3, 2)
+        codes, _, steps = _unsigned_codes(np.array([3.0, 6.0]), 3, 2)
         assert codes.tolist() == [4, 7]
         assert steps.tolist() == [6.0 / 7.0]
 
     def test_half_away_from_zero(self):
         # 5 * 7/14 = 2.5 rounds to 3, not to the even neighbor 2
-        codes, _ = rtn_quantize_unsigned(np.array([5.0, 14.0]), 3, 2)
+        codes, _, _ = _unsigned_codes(np.array([5.0, 14.0]), 3, 2)
         assert codes.tolist() == [3, 7]
 
     def test_zero_group(self):
-        codes, steps = rtn_quantize_unsigned(np.zeros(4), 2, 2)
+        codes, _, steps = _unsigned_codes(np.zeros(4), 2, 2)
         assert codes.tolist() == [0, 0, 0, 0]
         assert steps.tolist() == [0.0, 0.0]
 
     def test_max_maps_to_top_code(self):
         rng = np.random.default_rng(0)
         values = rng.uniform(0, 9, 64)
-        codes, steps = rtn_quantize_unsigned(values, 4, 16)
+        codes, _, steps = _unsigned_codes(values, 4, 16)
         top = codes.reshape(4, 16).max(axis=1)
         assert np.all(top == 15)
 
@@ -157,7 +157,7 @@ class TestRtnUnsigned:
         step = np.float32(0.1)
         codes_in = np.array([0, 3, 7, 15], dtype=np.float64)
         values = (codes_in * np.float64(step)).astype(np.float64)
-        codes, steps = rtn_quantize_unsigned(values, 4, 4)
+        codes, _, steps = _unsigned_codes(values, 4, 4)
         recon = (codes.astype(np.float64) * (15.0 * np.float64(steps[0]))) / 15.0
         assert codes.tolist() == [0, 3, 7, 15]
         assert np.array_equal(recon, values)
@@ -401,7 +401,7 @@ class TestMatchesReferenceEncoder:
     @settings(max_examples=100, deadline=None)
     def test_rtn_matches_reference(self, values, bits, group_size):
         arr = np.array(values)
-        codes, steps = rtn_quantize_unsigned(arr, bits, group_size)
+        codes, _, steps = _unsigned_codes(arr, bits, group_size)
         ref_codes, _, ref_steps = reference_unsigned(arr, bits, group_size)
         assert codes.tobytes() == ref_codes.tobytes()
         assert steps.tobytes() == ref_steps.tobytes()
