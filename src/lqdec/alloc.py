@@ -237,11 +237,11 @@ class AllocSolution:
 # sweeping
 # ---------------------------------------------------------------------------
 
-def _decompose_cell(matrices, fishers, configs, rank, seed, method, max_iters, i, c):
+def _decompose_cell(matrices, fishers, configs, rank, seed, max_iters, i, c):
     """One sweep table cell: matrix i under configs[c], seeded from (seed, i, c)."""
     fisher = None if fishers is None else fishers[i]
     return lq_decompose(matrices[i], fisher, configs[c], rank,
-                        max_iters=max_iters, seed=derive_seed(seed, i, c), method=method)
+                        max_iters=max_iters, seed=derive_seed(seed, i, c))
 
 
 _pool_cell = None  # a pool worker's `_decompose_cell` partial, set by its initializer
@@ -257,8 +257,8 @@ def _pool_squared_error(task):
 
 
 def sweep(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
-          seed: int = 0, workers: int = 1, method: str = "randomized",
-          max_iters: int = 50, errors_init=None, on_row=None) -> SweepTable:
+          seed: int = 0, workers: int = 1, max_iters: int = 50,
+          errors_init=None, on_row=None) -> SweepTable:
     """Decompose every matrix under every grid config.
 
     Cells are independent jobs keyed by (matrix, config); their seeds
@@ -288,15 +288,15 @@ def sweep(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
     )
 
     cell = functools.partial(_decompose_cell, matrices, fishers, grid.configs,
-                             rank, seed, method, max_iters)
+                             rank, seed, max_iters)
     pending = [(i, ci) for i in range(n) for ci in range(c) if math.isnan(errors[i, ci])]
+    chunksize = 4  # a pool starts all its workers at once: one a chunk at most
+    procs = min(workers, math.ceil(len(pending) / chunksize))
     with contextlib.ExitStack() as stack:
         squared = (cell(i, ci).error ** 2 for i, ci in pending)
-        if workers > 1 and len(pending) > 1:
-            chunksize = 4  # a pool starts all its workers at once: one a chunk at most
+        if procs > 1:  # one worker would only add a process to the same serial run
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=min(workers, math.ceil(len(pending) / chunksize)),
-                initializer=_init_sweep_worker, initargs=(cell,)))
+                max_workers=procs, initializer=_init_sweep_worker, initargs=(cell,)))
             squared = pool.map(_pool_squared_error, pending, chunksize=chunksize)
         # results arrive in the row-major order of `pending`, so a row is
         # complete at its last pending cell
@@ -647,7 +647,7 @@ def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GU
 
 def lq_lora_init(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
                  budget_bits_per_param=4.0, seed: int = 0, workers: int = 1,
-                 method: str = "randomized", max_iters: int = 50):
+                 max_iters: int = 50):
     """Sweep, allocate, and decompose once more under the chosen configs.
 
     The budget is average bits per quantized parameter; low-rank factors
@@ -663,19 +663,16 @@ def lq_lora_init(matrices, fishers=None, grid: ConfigGrid = None, rank: int = 1,
     # that nothing fits
     _fitting_budget(sizes, grid.configs, budget_bits)
     table = sweep(matrices, fishers, grid, rank, seed=seed, workers=workers,
-                  method=method, max_iters=max_iters)
+                  max_iters=max_iters)
     solution = solve_mckp(table, budget_bits)
-    results = [_decompose_cell(matrices, fishers, table.configs, rank, seed, method, max_iters, i, ci)
+    results = [_decompose_cell(matrices, fishers, table.configs, rank, seed, max_iters, i, ci)
                for i, ci in enumerate(solution.assignment)]
     return results, solution, table
 
 
 NF8_CONFIG = QuantConfig(8, 8, "fp32", 64, 256)
 
-LORA_FORMATS = {
-    "fp16": Fraction(16),
-    "nf8": storage_bits_per_param(NF8_CONFIG),
-}
+LORA_FORMATS = {"nf8": storage_bits_per_param(NF8_CONFIG)}
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every command that writes files also writes a ``*.manifest.json`` next to
-its primary output recording the command, parameters, inputs, outputs,
-and elapsed time.  Sweeps flush their table, with its parameters and
-input file hashes inside, after each completed row, and resume from a
-partial table whose parameters match the rerun's.
+Every command that writes files returns a manifest recording the command,
+parameters, inputs and outputs; `main` stamps it with the version and
+elapsed time and writes it next to the primary output.  Sweeps flush
+their table, with its parameters and input file hashes inside, after each
+completed row, and resume from a partial table whose parameters match the
+rerun's.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 malformed file, 3
 infeasible budget, 4 numerical failure.
@@ -101,19 +102,26 @@ def _atomic_write_json(path: Path, payload):
     os.replace(tmp, path)
 
 
-def _write_manifest(primary: Path, command: str, params: dict, inputs, outputs,
-                    elapsed: float, extra: dict = None, manifest: Path = None):
-    payload = {
-        "command": command,
-        "version": __version__,
-        "params": params,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "elapsed_seconds": elapsed,
-    }
-    if extra:
-        payload.update(extra)
-    _atomic_write_json(manifest or primary.with_name(primary.stem + ".manifest.json"), payload)
+def _beside(primary: Path) -> Path:
+    return primary.with_name(primary.stem + ".manifest.json")
+
+
+def _manifest(path: Path, command: str, params: dict, inputs, outputs, **stats) -> tuple:
+    """A command's manifest path and payload, for `main` to stamp and write."""
+    return path, {"command": command, "params": params, "inputs": [str(p) for p in inputs],
+                  "outputs": [str(p) for p in outputs], **stats}
+
+
+def _stats(res) -> dict:
+    """A decomposition's record: its error, how it iterated and why it stopped."""
+    return {"error": res.error, "error_trace": list(res.error_trace),
+            "chosen_iteration": res.chosen_iteration,
+            "converged_reason": res.converged_reason}
+
+
+def _solver_stats(solution) -> dict:
+    """The work the exact solver did, as its solution file records it."""
+    return {"nodes": solution.nodes, "bounds": solution.bounds, "lp_bound": solution.lp_bound}
 
 
 def _load_grid(path) -> ConfigGrid:
@@ -184,36 +192,31 @@ def _load_fishers(paths, matrices):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_matrix(args) -> int:
-    start = time.perf_counter()
+def cmd_gen_matrix(args):
     cfg = QuantConfig.parse(args.config) if args.config else None
     m = gen_matrix(args.kind, args.rows, args.cols, seed=args.seed,
                    rank=args.rank, rho=args.rho, config=cfg)
     out = Path(args.output)
     write_tensor(out, m)
-    _write_manifest(out, "gen matrix", {
+    print(f"wrote {out} ({args.rows}x{args.cols} {args.kind})")
+    return _manifest(_beside(out), "gen matrix", {
         "kind": args.kind, "rows": args.rows, "cols": args.cols,
         "seed": args.seed, "rank": args.rank, "rho": args.rho,
         "config": args.config,
-    }, [], [out], time.perf_counter() - start)
-    print(f"wrote {out} ({args.rows}x{args.cols} {args.kind})")
-    return 0
+    }, [], [out])
 
 
-def cmd_gen_fisher(args) -> int:
-    start = time.perf_counter()
+def cmd_gen_fisher(args):
     f = gen_fisher(args.kind, args.rows, args.cols, seed=args.seed)
     out = Path(args.output)
     write_tensor(out, f)
-    _write_manifest(out, "gen fisher", {
-        "kind": args.kind, "rows": args.rows, "cols": args.cols, "seed": args.seed,
-    }, [], [out], time.perf_counter() - start)
     print(f"wrote {out} ({args.rows}x{args.cols} fisher {args.kind})")
-    return 0
+    return _manifest(_beside(out), "gen fisher", {
+        "kind": args.kind, "rows": args.rows, "cols": args.cols, "seed": args.seed,
+    }, [], [out])
 
 
-def cmd_quantize(args) -> int:
-    start = time.perf_counter()
+def cmd_quantize(args):
     cfg = QuantConfig.parse(args.config)
     m = read_tensor(args.input)
     q = quantize_nf(m, cfg)
@@ -221,72 +224,59 @@ def cmd_quantize(args) -> int:
     write_quantized(out, q)
     nbytes = exact_container_bytes(q.rows, q.cols, cfg)
     bits = storage_bits_per_param(cfg)
-    _write_manifest(out, "quantize", {"config": cfg.label()}, [args.input], [out],
-                    time.perf_counter() - start,
-                    {"container_bytes": nbytes, "bits_per_param": float(bits)})
     print(f"wrote {out} ({nbytes} bytes, {float(bits):.6f} bits/param)")
-    return 0
+    return _manifest(_beside(out), "quantize", {"config": cfg.label()}, [args.input], [out],
+                     container_bytes=nbytes, bits_per_param=float(bits))
 
 
-def cmd_dequantize(args) -> int:
-    start = time.perf_counter()
+def cmd_dequantize(args):
     q = read_quantized(args.input)
     m = dequantize(q)
     out = Path(args.output)
     write_tensor(out, m)
-    _write_manifest(out, "dequantize", {"config": q.config.label()},
-                    [args.input], [out], time.perf_counter() - start)
     print(f"wrote {out} ({q.rows}x{q.cols})")
-    return 0
+    return _manifest(_beside(out), "dequantize", {"config": q.config.label()},
+                     [args.input], [out])
 
 
-def cmd_decompose(args) -> int:
-    start = time.perf_counter()
+def cmd_decompose(args):
     cfg = QuantConfig.parse(args.config)
     w = read_tensor(args.input)
     fisher = read_fisher(args.fisher) if args.fisher else None
-    res = lq_decompose(w, fisher, cfg, args.rank, max_iters=args.max_iters,
-                       seed=args.seed, method=args.method, init=args.init)
+    res = lq_decompose(w, fisher, cfg, args.rank, max_iters=args.max_iters, seed=args.seed)
     outputs = _write_split(Path(args.out_prefix), res)
     inputs = [args.input] + ([args.fisher] if args.fisher else [])
-    _write_manifest(outputs[0], "decompose", {
-        "config": cfg.label(), "rank": args.rank, "max_iters": args.max_iters,
-        "seed": args.seed, "method": args.method, "init": args.init,
-        "fisher": args.fisher,
-    }, inputs, outputs, time.perf_counter() - start, {
-        "error": res.error,
-        "error_trace": list(res.error_trace),
-        "chosen_iteration": res.chosen_iteration,
-        "converged_reason": res.converged_reason,
-    })
     print(f"error={res.error:.6e} iterations={len(res.error_trace)} "
           f"chosen={res.chosen_iteration} reason={res.converged_reason}")
-    return 0
+    return _manifest(_beside(outputs[0]), "decompose", {
+        "config": cfg.label(), "rank": args.rank, "max_iters": args.max_iters,
+        "seed": args.seed, "fisher": args.fisher,
+    }, inputs, outputs, **_stats(res))
 
 
-def _sweep_params(args, grid: ConfigGrid) -> dict:
-    """Everything a sweep table depends on, input file contents included."""
-    fishers = args.fisher or []
-    return {
-        "inputs": [str(p) for p in args.inputs],
-        "fishers": [str(p) for p in fishers],
-        "sha256": {str(p): _sha256(p) for p in [*args.inputs, *fishers]},
-        "grid": [list(c.as_tuple()) for c in grid.configs],
-        "rank": args.rank,
-        "seed": args.seed,
-        "method": args.method,
-        "max_iters": args.max_iters,
-    }
-
-
-def cmd_sweep(args) -> int:
-    start = time.perf_counter()
+def _load_sweep(args):
+    """What `sweep` and `init` read: the grid, matrices, fishers, worker
+    count, and the params a table depends on, input file contents included."""
     grid = _load_grid(args.grid)
     matrices = [read_tensor(p) for p in args.inputs]
     fishers = _load_fishers(args.fisher, matrices)
     workers = _workers_default(args.workers)
+    names = args.fisher or []
+    params = {
+        "inputs": [str(p) for p in args.inputs],
+        "fishers": [str(p) for p in names],
+        "sha256": {str(p): _sha256(p) for p in [*args.inputs, *names]},
+        "grid": [list(c.as_tuple()) for c in grid.configs],
+        "rank": args.rank,
+        "seed": args.seed,
+        "max_iters": args.max_iters,
+    }
+    return grid, matrices, fishers, workers, params
+
+
+def cmd_sweep(args):
+    grid, matrices, fishers, workers, params = _load_sweep(args)
     out = Path(args.output)
-    params = _sweep_params(args, grid)
 
     errors_init = None
     if out.exists() and not args.fresh:
@@ -304,48 +294,36 @@ def cmd_sweep(args) -> int:
         # the resume key travels with the cells, in one atomic replace
         _atomic_write_json(out, {**table.to_json(), "params": params})
 
-    table = sweep(matrices, fishers, grid, args.rank, seed=args.seed,
-                  workers=workers, method=args.method,
+    table = sweep(matrices, fishers, grid, args.rank, seed=args.seed, workers=workers,
                   max_iters=args.max_iters, errors_init=errors_init, on_row=flush)
     flush(None, table)
-    _write_manifest(out, "sweep", params, args.inputs, [out],
-                    time.perf_counter() - start)
     print(f"wrote {out} ({len(matrices)} matrices x {len(grid)} configs)")
-    return 0
+    return _manifest(_beside(out), "sweep", params, args.inputs, [out])
 
 
-def cmd_allocate(args) -> int:
-    start = time.perf_counter()
+def cmd_allocate(args):
     table = _parse_table(args.table, _read_json(args.table, "sweep table"))
     budget_bits = args.budget_bits_per_param * sum(table.sizes)
     solution = solve_mckp(table, budget_bits)
     out = Path(args.output)
     _atomic_write_json(out, solution.to_json())
-    _write_manifest(out, "allocate", {
-        "table": str(args.table),
-        "budget_bits_per_param": str(args.budget_bits_per_param),
-    }, [args.table], [out], time.perf_counter() - start,
-                    {"nodes": solution.nodes, "bounds": solution.bounds,
-                     "lp_bound": solution.lp_bound})
     used = float(solution.total_storage_bits / sum(table.sizes))
     print(f"total_error={solution.total_error:.6e} bits_per_param={used:.6f} "
           f"optimal={solution.optimal}")
-    return 0
+    return _manifest(_beside(out), "allocate", {
+        "table": str(args.table),
+        "budget_bits_per_param": str(args.budget_bits_per_param),
+    }, [args.table], [out], **_solver_stats(solution))
 
 
-def cmd_init(args) -> int:
-    start = time.perf_counter()
-    grid = _load_grid(args.grid)
-    matrices = [read_tensor(p) for p in args.inputs]
-    fishers = _load_fishers(args.fisher, matrices)
-    workers = _workers_default(args.workers)
-    params = _sweep_params(args, grid)
+def cmd_init(args):
+    grid, matrices, fishers, workers, params = _load_sweep(args)
     params["budget_bits_per_param"] = str(args.budget_bits_per_param)
 
     results, solution, table = lq_lora_init(
         matrices, fishers, grid, args.rank,
         budget_bits_per_param=args.budget_bits_per_param, seed=args.seed,
-        workers=workers, method=args.method, max_iters=args.max_iters,
+        workers=workers, max_iters=args.max_iters,
     )
     # made only now: an infeasible budget leaves no directory behind
     out_dir = Path(args.out_dir)
@@ -358,25 +336,15 @@ def cmd_init(args) -> int:
     for i, (res, ci) in enumerate(zip(results, solution.assignment)):
         outputs += _write_split(out_dir / f"matrix_{i:03d}", res)
         cfg = table.configs[ci]
-        per_matrix.append({
-            "input": str(args.inputs[i]),
-            "config": cfg.label(),
-            "config_index": ci,
-            "error": res.error,
-            "converged_reason": res.converged_reason,
-        })
+        per_matrix.append({"input": str(args.inputs[i]), "config": cfg.label(),
+                           "config_index": ci, **_stats(res)})
         print(f"matrix {i}: config={cfg.label()} error={res.error:.6e}")
-    _write_manifest(out_dir, "init", params, args.inputs, outputs,
-                    time.perf_counter() - start, {
-        "matrices": per_matrix,
-        "total_error": solution.total_error,
-        "bits_per_param": float(solution.total_storage_bits / sum(table.sizes)),
-        "nodes": solution.nodes,
-        "bounds": solution.bounds,
-        "lp_bound": solution.lp_bound,
-    }, manifest=out_dir / "manifest.json")
     print(f"total_error={solution.total_error:.6e} optimal={solution.optimal}")
-    return 0
+    return _manifest(
+        out_dir / "manifest.json", "init", params, args.inputs, outputs,
+        matrices=per_matrix, total_error=solution.total_error,
+        bits_per_param=float(solution.total_storage_bits / sum(table.sizes)),
+        **_solver_stats(solution))
 
 
 def _parse_shapes(text):
@@ -390,14 +358,13 @@ def _parse_shapes(text):
     return shapes
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     if (args.preset is None) == (args.shapes is None):
         raise UsageError("exactly one of --preset and --shapes is required")
     shapes = model_preset(args.preset).shapes() if args.preset else _parse_shapes(args.shapes)
     quant_bits = args.quant_bits if len(args.quant_bits) > 1 else args.quant_bits[0]
     report = storage_report(shapes, quant_bits, args.lora_rank, args.lora_bits)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +418,9 @@ def build_parser() -> _Parser:
     dc.add_argument("--fisher", default=None)
     dc.add_argument("--max-iters", type=int, default=50)
     dc.add_argument("--seed", type=int, default=0)
-    dc.add_argument("--method", choices=("exact", "randomized"), default="randomized")
-    dc.add_argument("--init", choices=("zero", "quantize"), default="zero")
     dc.set_defaults(func=cmd_decompose)
 
-    # the options `_sweep_params` reads, shared by `sweep` and `init`
+    # the options `_load_sweep` reads, shared by `sweep` and `init`
     sweep_opts = argparse.ArgumentParser(add_help=False)
     sweep_opts.add_argument("inputs", nargs="+")
     sweep_opts.add_argument("--fisher", action="append", default=None)
@@ -463,7 +428,6 @@ def build_parser() -> _Parser:
                             help="JSON file of configs (default: built-in grid)")
     sweep_opts.add_argument("--rank", type=int, default=1)
     sweep_opts.add_argument("--seed", type=int, default=0)
-    sweep_opts.add_argument("--method", choices=("exact", "randomized"), default="randomized")
     sweep_opts.add_argument("--max-iters", type=int, default=50)
     sweep_opts.add_argument("--workers", type=int, default=None,
                             help="parallel workers (default: LQDEC_WORKERS or 1)")
@@ -503,7 +467,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        start = time.perf_counter()
+        manifest = args.func(args)
+        if manifest is not None:  # `report` writes no file, so no manifest
+            path, payload = manifest
+            _atomic_write_json(path, {**payload, "version": __version__,
+                                      "elapsed_seconds": time.perf_counter() - start})
+        return 0
     # before ValueError: LinAlgError is one
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

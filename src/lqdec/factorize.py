@@ -45,10 +45,6 @@ class LowRankFactors:
         if not (np.all(np.isfinite(l1)) and np.all(np.isfinite(l2))):
             raise ValueError("factors must be finite")
 
-    @property
-    def rank(self) -> int:
-        return self.l1.shape[1]
-
     def product(self, out: np.ndarray = None) -> np.ndarray:
         """Dense reconstruction, accumulated in float64, into `out` when given."""
         return np.matmul(np.asarray(self.l1, dtype=np.float64),

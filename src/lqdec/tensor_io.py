@@ -175,10 +175,6 @@ class ModelPreset:
     name: str
     matrices: tuple
 
-    @property
-    def total_params(self) -> int:
-        return sum(r * c for _, r, c in self.matrices)
-
     def shapes(self):
         return [(r, c) for _, r, c in self.matrices]
 

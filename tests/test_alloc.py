@@ -831,7 +831,9 @@ class TestSweep:
         parallel = sweep(mats, fishers, self.GRID, rank=2, seed=3, workers=2)
         assert np.array_equal(serial.errors, parallel.errors)
 
-    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The worker count of each pool a sweep builds; none starts a process."""
         counts = []
 
         class InlinePool:
@@ -852,11 +854,22 @@ class TestSweep:
 
         monkeypatch.setattr(alloc, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(alloc, "_pool_cell", None)
+        return counts
+
+    def test_pool_has_no_more_workers_than_chunks(self, pool_sizes):
         mats = [gen_matrix("gaussian", 24, 16, seed=s) for s in (0, 1, 2)]
         serial = sweep(mats, None, self.GRID, rank=2, seed=3, workers=1)
         capped = sweep(mats, None, self.GRID, rank=2, seed=3, workers=64)
-        assert counts == [2]  # 6 cells in chunks of 4
+        assert pool_sizes == [2]  # 6 cells in chunks of 4
         assert np.array_equal(serial.errors, capped.errors)
+
+    def test_one_chunk_runs_in_process(self, pool_sizes):
+        # 2 matrices x 2 configs are 4 cells, one chunk: a pool would get
+        # one worker, so the sweep builds none
+        serial = sweep(self.matrices(), None, self.GRID, rank=2, seed=3, workers=1)
+        parallel = sweep(self.matrices(), None, self.GRID, rank=2, seed=3, workers=2)
+        assert pool_sizes == []
+        assert np.array_equal(serial.errors, parallel.errors)
 
     def test_resume_fills_only_missing_cells(self):
         mats = self.matrices()
@@ -978,7 +991,7 @@ class TestStorageReport:
 
     def test_fp16_adapters(self):
         report = storage_report([(16, 16)], 4, lora_rank=2,
-                                lora_bits_per_param=LORA_FORMATS["fp16"])
+                                lora_bits_per_param=Fraction(16))
         assert report.lora_params == 64
         assert report.lora_bits == 64 * 16
         assert report.quant_bits == 1024

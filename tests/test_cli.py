@@ -110,6 +110,20 @@ class TestExitCodes:
                          "--lora-bits", "x"]) == 1
         assert cli.main(["report", "--shapes", "4x4", "--quant-bits", "1/0"]) == 1
 
+    @pytest.mark.parametrize("command, flag", [
+        ("decompose", ["--method", "exact"]),
+        ("decompose", ["--init", "quantize"]),
+        ("sweep", ["--method", "exact"]),
+    ])
+    def test_removed_switches(self, tmp_path, capsys, command, flag):
+        # one solver and one start: the library keeps `method` and `init`
+        # as references, the CLI offers neither
+        m = make_matrix(tmp_path, "m.lqt")
+        out = {"decompose": ["--out-prefix", str(tmp_path / "s"), "--config", "2,2,fp16,16,16"],
+               "sweep": ["-o", str(tmp_path / "t.json")]}[command]
+        assert cli.main([command, str(m), *out, *flag]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.lqt", "m.manifest.json"]
+
     @pytest.mark.parametrize("payload", [
         [[3, 8, "fp32", 64.5, 256]],
         [[3.0, 8, "fp32", 64, 256]],
@@ -519,6 +533,49 @@ class TestSweep:
         assert len(calls) == 2
         assert out.read_bytes() == first
 
+    def test_table_with_method_param_is_swept_fresh(self, tmp_path, monkeypatch, capsys):
+        # tables written while sweeps took `--method` hold it in their
+        # params; those no longer match, so the cells are swept again
+        m = make_matrix(tmp_path, "m.lqt")
+        grid = write_grid(tmp_path, SMALL_GRID)
+        out = tmp_path / "table.json"
+        argv = self.sweep_argv(m, out, grid)
+        assert cli.main(argv) == 0
+        first = out.read_bytes()
+        payload = json.loads(first)
+        payload["params"]["method"] = "randomized"
+        out.write_text(json.dumps(payload))
+        calls = []
+        real = alloc.lq_decompose
+        monkeypatch.setattr(alloc, "lq_decompose",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        code, text = run(capsys, *argv)
+        assert code == 0
+        assert "resuming" not in text
+        assert len(calls) == 2
+        assert out.read_bytes() == first
+
+    def test_workers_reach_a_pool(self, tmp_path, monkeypatch, capsys):
+        # 3 matrices x 2 configs are 6 cells, two chunks of 4: two workers
+        mats = [make_matrix(tmp_path, f"{i}.lqt", seed=i) for i in range(3)]
+        grid = write_grid(tmp_path, SMALL_GRID)
+        built = []
+
+        class RecordingPool(alloc.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(alloc, "ProcessPoolExecutor", RecordingPool)
+        tables = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.json"
+            assert cli.main(["sweep", *map(str, mats), "-o", str(out), "--grid", str(grid),
+                             "--workers", workers]) == 0
+            tables.append(out.read_bytes())
+        assert built == [2]
+        assert tables[0] == tables[1]
+
     def test_grid_file_forms_agree(self, tmp_path, capsys):
         m = make_matrix(tmp_path, "m.lqt")
         grid_list = write_grid(tmp_path, SMALL_GRID)
@@ -644,6 +701,30 @@ class TestInit:
             rebuilt = dequantize(q) + l1.astype(np.float64) @ l2.astype(np.float64)
             err = float(np.linalg.norm(w - rebuilt))
             assert err == pytest.approx(entry["error"], rel=1e-9)
+
+    def test_matrices_record_each_decomposition(self, tmp_path, capsys):
+        # each final decomposition is recorded as `decompose` records one
+        mats = [make_matrix(tmp_path, f"{i}.lqt", rows=16, cols=16, seed=i)
+                for i in range(2)]
+        assert cli.main(["decompose", str(mats[0]), "--out-prefix", str(tmp_path / "s"),
+                         "--config", "2,2,fp16,16,16", "--rank", "2"]) == 0
+        single = json.loads((tmp_path / "s.manifest.json").read_text())
+        stats = set(single) - {"command", "version", "params", "inputs", "outputs",
+                               "elapsed_seconds"}
+        assert stats == {"error", "error_trace", "chosen_iteration", "converged_reason"}
+
+        out_dir = tmp_path / "init"
+        assert cli.main(["init", *map(str, mats), "--out-dir", str(out_dir),
+                         "--budget-bits-per-param", "3.0",
+                         "--grid", str(write_grid(tmp_path, SMALL_GRID)),
+                         "--rank", "2", "--seed", "5"]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert len(manifest["matrices"]) == 2
+        for entry in manifest["matrices"]:
+            assert stats <= set(entry)
+            trace = entry["error_trace"]
+            assert entry["chosen_iteration"] == int(np.argmin(trace))
+            assert entry["error"] == trace[entry["chosen_iteration"]]
 
     def test_fisher_weighted(self, tmp_path, capsys):
         mats = [make_matrix(tmp_path, f"{i}.lqt", rows=16, cols=16, seed=i)

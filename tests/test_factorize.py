@@ -430,7 +430,7 @@ class TestParsedWeights:
 class TestLowRankFactors:
     def test_rank_property(self):
         fac = LowRankFactors(np.zeros((6, 3)), np.zeros((3, 8)))
-        assert fac.rank == 3
+        assert fac.l1.shape[1] == 3
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
