@@ -222,7 +222,7 @@ class AllocSolution:
                 raise FormatError(f"allocation has no {name!r} field")
             if type(data[name]) not in kinds:
                 raise FormatError(f"allocation {name} has the wrong type: {data[name]!r}")
-        if not all(type(a) is int and a >= 0 for a in data["assignment"]):
+        if not data["assignment"] or not all(type(a) is int and a >= 0 for a in data["assignment"]):
             raise FormatError(f"allocation assignment must be config indices, got {data['assignment']!r}")
         for name, parse in (("total_error", float), ("total_storage_bits", Fraction),
                             ("budget_bits", Fraction)):
@@ -230,6 +230,11 @@ class AllocSolution:
                 data[name] = parse(data[name])
             except (ValueError, ZeroDivisionError, OverflowError):
                 raise FormatError(f"allocation {name} is malformed: {data[name]!r}") from None
+        # as in a table: no error, bit total or count is NaN, infinite or negative
+        for name in ("total_error", "total_storage_bits", "budget_bits", "nodes", "bounds", "lp_bound"):
+            if data[name] is not None and not 0 <= data[name] < math.inf:
+                raise FormatError(f"allocation {name} must be finite and nonnegative, "
+                                  f"got {data[name]!r}")
         return cls(**{name: data[name] for name in expected})
 
 
@@ -612,7 +617,7 @@ def _solution(assignment, error: int, scale: int, budget: Fraction, storage: int
     )
 
 
-def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GUARD) -> AllocSolution:
+def brute_force_mckp(table: SweepTable, budget_bits) -> AllocSolution:
     """Exhaustive reference solver for small instances.
 
     Every one of the c**n assignments is checked with exact integers:
@@ -624,8 +629,8 @@ def brute_force_mckp(table: SweepTable, budget_bits, guard: int = BRUTE_FORCE_GU
     budget, costs, denom, cap = _scaled_budget(table, budget_bits)
     s_int = [[int(size) * k for k in costs] for size in table.sizes]
     n, c = table.errors.shape
-    if c ** n > guard:
-        raise ValueError(f"instance size {c}**{n} exceeds the brute-force guard {guard}")
+    if c ** n > BRUTE_FORCE_GUARD:
+        raise ValueError(f"instance size {c}**{n} exceeds the brute-force guard {BRUTE_FORCE_GUARD}")
     e_flat, scale = _integer_errors(table.errors)
     e_int = [e_flat[i * c:(i + 1) * c] for i in range(n)]
 

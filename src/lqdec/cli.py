@@ -82,18 +82,6 @@ def _fraction_list(text: str) -> list:
     return [_fraction(part) for part in text.split(",")]
 
 
-def _workers_default(value) -> int:
-    """--workers, else LQDEC_WORKERS, else 1; a count below 1 is a usage error."""
-    if value is None:
-        try:
-            value = int(os.environ.get("LQDEC_WORKERS", "1"))
-        except ValueError as exc:
-            raise UsageError(f"LQDEC_WORKERS: {exc}") from None
-    if value < 1:
-        raise UsageError(f"worker count must be at least 1, got {value}")
-    return value
-
-
 def _atomic_write_json(path: Path, payload):
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w") as fh:
@@ -255,12 +243,13 @@ def cmd_decompose(args):
 
 
 def _load_sweep(args):
-    """What `sweep` and `init` read: the grid, matrices, fishers, worker
-    count, and the params a table depends on, input file contents included."""
+    """What `sweep` and `init` read: the grid, matrices, fishers, and the
+    params a table depends on, input file contents included."""
     grid = _load_grid(args.grid)
     matrices = [read_tensor(p) for p in args.inputs]
     fishers = _load_fishers(args.fisher, matrices)
-    workers = _workers_default(args.workers)
+    if args.workers < 1:
+        raise UsageError(f"worker count must be at least 1, got {args.workers}")
     names = args.fisher or []
     params = {
         "inputs": [str(p) for p in args.inputs],
@@ -271,11 +260,11 @@ def _load_sweep(args):
         "seed": args.seed,
         "max_iters": args.max_iters,
     }
-    return grid, matrices, fishers, workers, params
+    return grid, matrices, fishers, params
 
 
 def cmd_sweep(args):
-    grid, matrices, fishers, workers, params = _load_sweep(args)
+    grid, matrices, fishers, params = _load_sweep(args)
     out = Path(args.output)
 
     errors_init = None
@@ -294,7 +283,7 @@ def cmd_sweep(args):
         # the resume key travels with the cells, in one atomic replace
         _atomic_write_json(out, {**table.to_json(), "params": params})
 
-    table = sweep(matrices, fishers, grid, args.rank, seed=args.seed, workers=workers,
+    table = sweep(matrices, fishers, grid, args.rank, seed=args.seed, workers=args.workers,
                   max_iters=args.max_iters, errors_init=errors_init, on_row=flush)
     flush(None, table)
     print(f"wrote {out} ({len(matrices)} matrices x {len(grid)} configs)")
@@ -317,13 +306,13 @@ def cmd_allocate(args):
 
 
 def cmd_init(args):
-    grid, matrices, fishers, workers, params = _load_sweep(args)
+    grid, matrices, fishers, params = _load_sweep(args)
     params["budget_bits_per_param"] = str(args.budget_bits_per_param)
 
     results, solution, table = lq_lora_init(
         matrices, fishers, grid, args.rank,
         budget_bits_per_param=args.budget_bits_per_param, seed=args.seed,
-        workers=workers, max_iters=args.max_iters,
+        workers=args.workers, max_iters=args.max_iters,
     )
     # made only now: an infeasible budget leaves no directory behind
     out_dir = Path(args.out_dir)
@@ -429,8 +418,7 @@ def build_parser() -> _Parser:
     sweep_opts.add_argument("--rank", type=int, default=1)
     sweep_opts.add_argument("--seed", type=int, default=0)
     sweep_opts.add_argument("--max-iters", type=int, default=50)
-    sweep_opts.add_argument("--workers", type=int, default=None,
-                            help="parallel workers (default: LQDEC_WORKERS or 1)")
+    sweep_opts.add_argument("--workers", type=int, default=1, help="parallel workers")
 
     sw = sub.add_parser("sweep", parents=[sweep_opts],
                         help="decompose every matrix under every config")

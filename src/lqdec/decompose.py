@@ -16,7 +16,9 @@ import numpy as np
 
 from . import quant
 from .factorize import LowRankFactors, _residual_into, factorize, fisher_scalers, weighted_error
-from .quant import QuantConfig, QuantizedMatrix, dequantize, quantize_nf
+# dequantize and quantize_nf are unused here, but lqbench/run.py TRACED
+# wraps both names in this module
+from .quant import QuantConfig, QuantizedMatrix, dequantize, quantize_nf  # noqa: F401
 
 REASON_INCREASED = "error-increased"
 REASON_MAX_ITERS = "max-iters"
@@ -49,22 +51,19 @@ class LQResult:
 
 def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
                  max_iters: int = 50, seed: int = 0,
-                 method: str = "randomized", init: str = "zero") -> LQResult:
+                 method: str = "randomized") -> LQResult:
     """Decompose ``w ~ dequantize(Q) + L1 @ L2`` under one config.
 
     Errors are measured on the dequantized container and the factors at
     serialization precision, in the sqrt(f)-weighted Frobenius norm when
     ``f`` (an importance matrix or its ``WeightScalers``) is given,
-    accumulated in float64.  ``init`` selects the initial
-    quantized part: "zero" starts the factors on plain W, "quantize"
-    starts them on the quantization residual.
+    accumulated in float64.  The first factorization splits W itself,
+    the residual of a zero quantized part.
     """
     if cfg is None:
         raise ValueError("a quantization config is required")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
-    if init not in ("zero", "quantize"):
-        raise ValueError(f"init must be 'zero' or 'quantize', got {init!r}")
     w32 = np.ascontiguousarray(w, dtype=np.float32)
     if w32.ndim != 2:
         raise ValueError("expected a 2-d matrix")
@@ -79,9 +78,7 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
     # W - dequantize(Q) the next factorization splits, then, dead once
     # split, the product L1 L2 and the iterate's weighted residual.
     reference = weighted_error(w32, None, None, f)
-    r = w32.astype(np.float64) if init == "zero" else np.subtract(
-        w32, dequantize(quantize_nf(w32, cfg)), dtype=np.float64)
-    rows = quant._chunks(r.size, r.shape[1])
+    r = w32.astype(np.float64)
 
     trace: list[float] = []
     best = chosen = None  # the least-error iterate's (pack, factors), index
@@ -101,10 +98,10 @@ def lq_decompose(w, f=None, cfg: QuantConfig = None, rank: int = 1,
         np.subtract(w32, fac.product(out=r), out=target)
         # one encode: the winner is packed from the codes it was scored
         # with; the target, dead once encoded, takes the decoded values
-        shape, codes, shat, pack = quant._encode(target, cfg)
-        deq = quant._decode(shape, codes, shat, cfg, out=target)
+        codes, shat, pack = quant._encode(target, cfg)
+        deq = quant._decode(codes, shat, cfg, target)
         # (W - deq) - L1 L2, in weighted_error's order, weighted by sqrt(F)
-        _residual_into(r, w32, deq, rows)
+        _residual_into(r, w32, deq)
         if f is not None:
             r *= f.root
         eps = weighted_error(r)

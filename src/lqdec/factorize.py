@@ -185,12 +185,13 @@ def factorize(a, f=None, rank: int = 1, method: str = "exact", seed: int = 0,
     return LowRankFactors(l1=l1, l2=l2)
 
 
-def _residual_into(acc, w, q, chunks) -> None:
+def _residual_into(acc, w, q) -> None:
     """acc = (W - Q) - acc in place, W - Q formed in float64 one chunk of rows at a time.
 
-    `chunks` is ``_chunks(acc.size, acc.shape[1])``; Q may be None.  W is
-    widened, and Q subtracted, in one scratch chunk made once per call.
+    Q may be None.  W is widened, and Q subtracted, in one scratch chunk
+    made once per call.
     """
+    chunks = _chunks(acc.size, acc.shape[1])
     scratch = np.empty_like(acc[chunks[0][1]]) if chunks else None
     for _, part, _ in chunks:
         diff = scratch[:part.stop - part.start]
@@ -221,7 +222,7 @@ def weighted_error(w, q_dequant=None, factors=None, f=None) -> float:
         acc = factors.product()
         if acc.shape != w.shape:
             raise ValueError(f"factor shape {acc.shape} does not match {w.shape}")
-        _residual_into(acc, w, q, _chunks(acc.size, acc.shape[1]))
+        _residual_into(acc, w, q)
     else:
         acc = np.asarray(w, dtype=np.float64) if q is None else np.subtract(w, q, dtype=np.float64)
     if f is not None:

@@ -222,9 +222,9 @@ def nearest_level_codes(normalized, codebook) -> np.ndarray:
 def _encode(m, cfg: QuantConfig):
     """Unpacked codes of a float32 matrix under one config.
 
-    Returns (shape, entry codes, per-block scales, pack): flat uint8
-    codes, float64 scales as `_block_scales` reconstructs them, and
-    ``pack()``, the one packing path, building the container of the codes.
+    Returns (entry codes, per-block scales, pack): flat uint8 codes,
+    float64 scales as `_block_scales` reconstructs them, and ``pack()``,
+    the one packing path, building the container of the codes.
     """
     a = np.ascontiguousarray(m, dtype=np.float32)
     if a.ndim != 2 or a.size == 0:
@@ -255,24 +255,19 @@ def _encode(m, cfg: QuantConfig):
     for ent, blk, width in chunks:
         rows = flat[ent].reshape(-1, width)
         codes[ent] = nearest_level_codes(rows / absmax[blk, None], cb).reshape(-1)
-    shape = a.shape
 
     def pack() -> QuantizedMatrix:
-        return QuantizedMatrix(*shape, cfg, pack_bits(codes, cfg.b0),
+        return QuantizedMatrix(*a.shape, cfg, pack_bits(codes, cfg.b0),
                                pack_bits(s_codes, cfg.b1), scales)
-    return shape, codes, shat, pack
+    return codes, shat, pack
 
 
-def _decode(shape, codes: np.ndarray, shat: np.ndarray, cfg: QuantConfig,
-            out: np.ndarray = None) -> np.ndarray:
-    """float32 matrix from flat unpacked entry codes and per-block scales.
+def _decode(codes: np.ndarray, shat: np.ndarray, cfg: QuantConfig, out: np.ndarray) -> np.ndarray:
+    """Write the float32 values of flat unpacked entry codes and per-block scales into `out`.
 
-    Written into `out`, a C-contiguous float32 matrix of `shape`, when
-    one is given.
+    `out` is a C-contiguous float32 matrix with one entry per code.
     """
     levels = build_codebook(cfg.b0).levels
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
     dst = out.reshape(-1)
     # the product is taken in float64 and rounded once, into out
     for ent, blk, width in _chunks(codes.size, cfg.B0):
@@ -303,7 +298,8 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     n, n_blocks, _ = container_counts(q.rows, q.cols, cfg)
     codes = unpack_bits(q.codes, cfg.b0, n)
     s_codes = unpack_bits(q.s_codes, cfg.b1, n_blocks)
-    return _decode((q.rows, q.cols), codes, _block_scales(s_codes, q.group_scales, cfg), cfg)
+    return _decode(codes, _block_scales(s_codes, q.group_scales, cfg), cfg,
+                   np.empty((q.rows, q.cols), dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------

@@ -604,7 +604,7 @@ class TestBruteForce:
     def test_guard(self):
         table = make_table(np.zeros((30, 6)))
         with pytest.raises(ValueError):
-            brute_force_mckp(table, 10 ** 9, guard=1000)
+            brute_force_mckp(table, 10 ** 9)
 
     def test_exact_tie_resolution(self):
         # sums that differ only in exact arithmetic must still agree
@@ -679,10 +679,18 @@ class TestJsonRoundTrips:
         ("total_storage_bits", 3.5), ("total_storage_bits", "x/y"),
         ("budget_bits", "1/0"), ("optimal", "false"), ("optimal", 1),
         ("nodes", 1.5), ("bounds", True), ("lp_bound", "0.25"),
+        ("total_error", math.nan), ("total_error", math.inf), ("total_error", -1.0),
+        ("lp_bound", math.nan), ("lp_bound", math.inf), ("lp_bound", -1.0),
+        ("total_storage_bits", "-5/2"), ("budget_bits", "-1"), ("nodes", -3), ("bounds", -1),
+        ("assignment", []),
     ], ids=["assignment-floats", "assignment-negative", "assignment-text",
             "error-text", "error-bool", "storage-float", "storage-text",
             "budget-zero-denominator", "optimal-text", "optimal-int",
-            "nodes-float", "bounds-bool", "lp-bound-text"])
+            "nodes-float", "bounds-bool", "lp-bound-text",
+            "error-nan", "error-inf", "error-negative",
+            "lp-bound-nan", "lp-bound-inf", "lp-bound-negative",
+            "storage-negative", "budget-negative", "nodes-negative", "bounds-negative",
+            "assignment-empty"])
     def test_alloc_solution_field_of_wrong_type_is_malformed(self, field, value):
         # checked, not coerced: int(1.7) is 1, bool(True) is 1 and
         # bool("false") is True

@@ -1,22 +1,26 @@
 """End-to-end exercises of the command-line interface.
 
 Everything runs in process through ``cli.main`` so monkeypatching and
-coverage work, with one subprocess check of the installed entry point.
+coverage work, with subprocess checks of the entry point: the installed
+console script, and `python -m lqdec.cli` from the source tree.
 """
 
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lqdec import alloc, cli
+from lqdec import __version__, alloc, cli
 from lqdec.quant import QuantConfig, read_quantized, dequantize
 from lqdec.tensor_io import read_fisher, read_tensor
 
@@ -287,30 +291,19 @@ class TestExitCodes:
         assert not (tmp_path / "init").exists()
 
     @pytest.mark.parametrize("count", ["0", "-4"])
-    def test_worker_count_below_one(self, tmp_path, monkeypatch, capsys, count):
+    def test_worker_count_below_one(self, tmp_path, capsys, count):
         m = make_matrix(tmp_path, "m.lqt")
         grid = write_grid(tmp_path, SMALL_GRID)
         table = tmp_path / "t.json"
         argv = ["sweep", str(m), "-o", str(table), "--grid", str(grid)]
         assert cli.main(argv + ["--workers", count]) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
-        monkeypatch.setenv("LQDEC_WORKERS", count)
-        assert cli.main(argv) == 1
         assert cli.main(["init", str(m), "--out-dir", str(tmp_path / "init"),
-                         "--grid", str(grid), "--budget-bits-per-param", "4"]) == 1
+                         "--grid", str(grid), "--budget-bits-per-param", "4",
+                         "--workers", count]) == 1
         assert not table.exists()
         assert not (tmp_path / "t.manifest.json").exists()
         assert not (tmp_path / "init").exists()
-
-
-    def test_non_integer_workers_env_var(self, tmp_path, monkeypatch, capsys):
-        m = make_matrix(tmp_path, "m.lqt")
-        table = tmp_path / "t.json"
-        monkeypatch.setenv("LQDEC_WORKERS", "two")
-        assert cli.main(["sweep", str(m), "-o", str(table)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and "LQDEC_WORKERS" in err and "'two'" in err
-        assert not table.exists()
 
 
 class TestGen:
@@ -588,20 +581,9 @@ class TestSweep:
         assert cli.main(self.sweep_argv(m, table_b, grid_dict)) == 0
         assert table_a.read_bytes() == table_b.read_bytes()
 
-    def test_workers_env_var(self, tmp_path, monkeypatch, capsys):
+    def test_workers_flag(self, tmp_path, capsys):
         m = make_matrix(tmp_path, "m.lqt")
         grid = write_grid(tmp_path, SMALL_GRID)
-        serial = tmp_path / "serial.json"
-        assert cli.main(self.sweep_argv(m, serial, grid)) == 0
-        monkeypatch.setenv("LQDEC_WORKERS", "2")
-        parallel = tmp_path / "parallel.json"
-        assert cli.main(self.sweep_argv(m, parallel, grid)) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
-    def test_workers_flag(self, tmp_path, monkeypatch, capsys):
-        m = make_matrix(tmp_path, "m.lqt")
-        grid = write_grid(tmp_path, SMALL_GRID)
-        monkeypatch.setenv("LQDEC_WORKERS", "3")  # the flag takes precedence
         tables = []
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}.json"
@@ -831,3 +813,17 @@ def test_console_entry_point():
     proc = subprocess.run(["lqdec", "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "lqdec" in proc.stdout
+
+
+def test_module_entry_point():
+    # runs from the source tree, where no console script is installed;
+    # the script pyproject.toml declares calls the same entry (read as
+    # text: Python 3.10 has no tomllib)
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "lqdec.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"lqdec {__version__}\n"
+    pyproject = (root / "pyproject.toml").read_text()
+    assert re.search(r'^\[project\.scripts\]\nlqdec = "lqdec\.cli:entry"\n', pyproject, re.M)

@@ -39,7 +39,7 @@ class TestDeriveSeed:
         assert derive_seed(0, 1, 2) != derive_seed(0, 2, 1)
 
 
-def reference_decompose(w, f, cfg, rank, max_iters, seed, method, init):
+def reference_decompose(w, f, cfg, rank, max_iters, seed, method):
     """The alternating loop over packed containers, kept as an oracle.
 
     Every iteration packs its codes in quantize_nf and unpacks them twice,
@@ -49,7 +49,7 @@ def reference_decompose(w, f, cfg, rank, max_iters, seed, method, init):
     w32 = np.ascontiguousarray(w, dtype=np.float32)
     w64 = w32.astype(np.float64)
     reference = weighted_error(w32, None, None, f)
-    q = quantize_nf(w32, cfg) if init == "quantize" else None
+    q = None
     trace, best, prev, reason, fac = [], None, np.inf, REASON_MAX_ITERS, None
     for t in range(1, max_iters + 1):
         resid = w64 if q is None else w64 - dequantize(q).astype(np.float64)
@@ -78,14 +78,13 @@ class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("b2", ["fp32", "bf16", "fp16"])
     @pytest.mark.parametrize("B0", [64, 16, 37, 7])
     @pytest.mark.parametrize("method", ["randomized", "exact"])
-    @pytest.mark.parametrize("init", ["zero", "quantize"])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_bit_identical(self, weighted, init, method, B0, b2):
+    def test_bit_identical(self, weighted, method, B0, b2):
         w = gen_matrix("gaussian", 48, 40, seed=B0)
         w[[3, 4, 20]] = 0.0  # whole zero blocks at every B0 above
         f = gen_fisher("separable", 48, 40, seed=B0) if weighted else None
         cfg = QuantConfig(3, 4, b2, B0, 8)
-        kwargs = dict(rank=4, max_iters=12, seed=5, method=method, init=init)
+        kwargs = dict(rank=4, max_iters=12, seed=5, method=method)
         res = lq_decompose(w, f, cfg, **kwargs)
         trace, chosen, reason, q, fac = reference_decompose(w, f, cfg, **kwargs)
         assert res.error_trace == trace
@@ -119,13 +118,23 @@ class TestDegenerateWarmStart:
         w = degenerate_matrix(kind)
         f = gen_fisher("separable", 64, 48, seed=4) if weighted else None
         cfg = QuantConfig(3, 4, "fp32", 16, 8)
-        # init="quantize" keeps the rank-1 input from stopping at iteration 1
-        res = lq_decompose(w, f, cfg, rank=4, seed=0, init="quantize")
-        if kind != "zero":
+        res = lq_decompose(w, f, cfg, rank=4, seed=0)
+        # the zero and rank-1 inputs stop at iteration 1, on zero error
+        if kind in ("half-zero-rows", "1e-30"):
             assert len(res.error_trace) > 1
         assert np.all(np.isfinite(res.factors.l1)) and np.all(np.isfinite(res.factors.l2))
         assert res.error <= weighted_error(w, dequantize(quantize_nf(w, cfg)), None, f)
         assert res.error == weighted_error(w, dequantize(res.q), res.factors, f)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_warm_call_on_rank_one_matrix(self, weighted):
+        # the loop stops on a rank-1 matrix before any warm call
+        w = degenerate_matrix("rank-1")
+        f = gen_fisher("separable", 64, 48, seed=4) if weighted else None
+        cold = factorize(w, f, 4, method="randomized")
+        warm = factorize(w, f, 4, method="randomized", start=cold.l2)
+        assert np.all(np.isfinite(warm.l1)) and np.all(np.isfinite(warm.l2))
+        assert weighted_error(w, None, warm, f) <= 1e-6 * weighted_error(w, None, None, f)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_zero_start_on_zero_matrix(self, weighted):
@@ -209,14 +218,6 @@ class TestLqDecompose:
         recomputed = weighted_error(w, dequantize(res.q), res.factors, f)
         assert recomputed == res.error
 
-    def test_quantize_init(self):
-        w = gen_matrix("gaussian", 64, 64, seed=11)
-        r_zero = lq_decompose(w, None, CFG, rank=8, seed=11, init="zero")
-        r_quant = lq_decompose(w, None, CFG, rank=8, seed=11, init="quantize")
-        q_only = weighted_error(w, dequantize(quantize_nf(w, CFG)))
-        assert r_quant.error < q_only
-        assert r_zero.error != r_quant.error
-
     def test_exact_method(self):
         w = gen_matrix("gaussian", 48, 48, seed=12)
         res = lq_decompose(w, None, CFG, rank=6, seed=12, method="exact")
@@ -225,7 +226,6 @@ class TestLqDecompose:
     @pytest.mark.parametrize("kwargs", [
         {"cfg": None},
         {"cfg": CFG, "max_iters": 0},
-        {"cfg": CFG, "init": "warm"},
         {"cfg": CFG, "rank": 0},
     ])
     def test_rejects_bad_arguments(self, kwargs):
@@ -262,11 +262,10 @@ class TestFisherParsedOnce:
         assert len(raw) == 1
 
     @pytest.mark.parametrize("method", ["randomized", "exact"])
-    @pytest.mark.parametrize("init", ["zero", "quantize"])
-    def test_scalers_in_place_of_fisher(self, init, method):
+    def test_scalers_in_place_of_fisher(self, method):
         w = gen_matrix("gaussian", 48, 40, seed=14)
         f = gen_fisher("random-nonneg", 48, 40, seed=14)
-        kwargs = dict(rank=4, max_iters=6, seed=14, method=method, init=init)
+        kwargs = dict(rank=4, max_iters=6, seed=14, method=method)
         raw = lq_decompose(w, f, CFG, **kwargs)
         parsed = lq_decompose(w, fisher_scalers(f), CFG, **kwargs)
         assert parsed.error_trace == raw.error_trace
@@ -282,8 +281,7 @@ class TestEncodedOnce:
     """Each iterate is encoded once; the winner is packed from those codes."""
 
     @pytest.mark.parametrize("max_iters", [1, 4, 50])
-    @pytest.mark.parametrize("init", ["zero", "quantize"])
-    def test_one_encode_per_iteration(self, monkeypatch, init, max_iters):
+    def test_one_encode_per_iteration(self, monkeypatch, max_iters):
         calls = []
         real = lqdec.quant._encode
 
@@ -293,9 +291,8 @@ class TestEncodedOnce:
 
         monkeypatch.setattr(lqdec.quant, "_encode", counting)
         w = gen_matrix("gaussian", 64, 96, seed=15)
-        res = lq_decompose(w, None, CFG, rank=4, seed=15, max_iters=max_iters, init=init)
-        # init="quantize" encodes W once more, before the loop
-        assert len(calls) == len(res.error_trace) + (init == "quantize")
+        res = lq_decompose(w, None, CFG, rank=4, seed=15, max_iters=max_iters)
+        assert len(calls) == len(res.error_trace)
         assert res.chosen_iteration == int(np.argmin(res.error_trace))
 
 

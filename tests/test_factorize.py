@@ -14,7 +14,6 @@ from lqdec.factorize import (
     fisher_scalers,
     weighted_error,
 )
-from lqdec.quant import _chunks
 from lqdec.tensor_io import gen_fisher, gen_matrix
 
 
@@ -358,10 +357,9 @@ def test_residual_peak_is_one_scratch_chunk():
     w, q, _, _ = error_inputs(256, 688, np.float32, seed=16)
     acc = np.random.default_rng(16).standard_normal(w.shape)
     want = (w.astype(np.float64) - q.astype(np.float64)) - acc
-    chunks = _chunks(acc.size, acc.shape[1])
     tracemalloc.start()
     try:
-        _residual_into(acc, w, q, chunks)
+        _residual_into(acc, w, q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

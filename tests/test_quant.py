@@ -40,8 +40,8 @@ CFG = QuantConfig(4, 8, "fp32", 64, 256)
 def encode_decode(m, cfg):
     """One `_encode` then a `_decode` into the encoded buffer, as `lq_decompose` runs them."""
     target = np.array(m, dtype=np.float32)
-    shape, codes, shat, _ = _encode(target, cfg)
-    return _decode(shape, codes, shat, cfg, out=target)
+    codes, shat, _ = _encode(target, cfg)
+    return _decode(codes, shat, cfg, target)
 
 
 class TestQuantConfig:
