@@ -606,6 +606,17 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_mckp(table, 10 ** 9)
 
+    def test_guard_is_the_module_constant(self, monkeypatch):
+        # 2 configs over 3 matrices are 8 assignments
+        table = make_table(np.zeros((3, 2)))
+        monkeypatch.setattr(alloc, "BRUTE_FORCE_GUARD", 7)
+        with pytest.raises(ValueError):
+            brute_force_mckp(table, 10 ** 9)
+        monkeypatch.setattr(alloc, "BRUTE_FORCE_GUARD", 8)
+        assert brute_force_mckp(table, 10 ** 9).total_error == 0.0
+        with pytest.raises(TypeError):
+            brute_force_mckp(table, 10 ** 9, guard=8)
+
     def test_exact_tie_resolution(self):
         # sums that differ only in exact arithmetic must still agree
         # between the two solvers

@@ -569,6 +569,26 @@ class TestSweep:
         assert built == [2]
         assert tables[0] == tables[1]
 
+    @pytest.mark.parametrize("value", ["0", "x", "2"])
+    def test_workers_env_var_is_ignored(self, tmp_path, monkeypatch, capsys, value):
+        # --workers is the one way to ask for workers: a count the flag
+        # refuses, a non-integer and a pool size in LQDEC_WORKERS all
+        # leave the default of 1, with no pool for 6 cells
+        mats = [make_matrix(tmp_path, f"{i}.lqt", seed=i) for i in range(3)]
+        grid = write_grid(tmp_path, SMALL_GRID)
+        built = []
+
+        class RecordingPool(alloc.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(alloc, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("LQDEC_WORKERS", value)
+        out = tmp_path / "t.json"
+        assert cli.main(["sweep", *map(str, mats), "-o", str(out), "--grid", str(grid)]) == 0
+        assert built == []
+
     def test_grid_file_forms_agree(self, tmp_path, capsys):
         m = make_matrix(tmp_path, "m.lqt")
         grid_list = write_grid(tmp_path, SMALL_GRID)

@@ -235,6 +235,12 @@ class TestLqDecompose:
         with pytest.raises(ValueError):
             lq_decompose(w, None, cfg, rank, **kwargs)
 
+    def test_no_initial_quantized_part_to_choose(self):
+        # every call starts from a zero quantized part
+        w = gen_matrix("gaussian", 16, 16, seed=0)
+        with pytest.raises(TypeError):
+            lq_decompose(w, None, CFG, 2, init="zero")
+
     def test_rejects_nonfinite(self):
         w = np.full((8, 8), np.nan, dtype=np.float32)
         with pytest.raises(ValueError):

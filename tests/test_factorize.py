@@ -367,6 +367,38 @@ def test_residual_peak_is_one_scratch_chunk():
     assert peak <= 0.6 * w.nbytes
 
 
+class TestResidualInto:
+    """acc = (W - Q) - acc in place, over the row chunks the function builds itself."""
+
+    # rows per chunk are 32768 // cols: one chunk, an exact chunk, a
+    # one-row remainder, a short third chunk, and rows past a chunk each
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (256, 128), (257, 128), (600, 128),
+                                       (129, 255), (3, 40000), (1, 70000)])
+    @pytest.mark.parametrize("w_dtype, q_dtype", [
+        (np.float32, None), (np.float32, np.float32), (np.float64, np.float32),
+        (np.float64, np.float64),
+    ])
+    def test_equals_float64_formula(self, shape, w_dtype, q_dtype):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        w = rng.standard_normal(shape).astype(w_dtype)
+        q = None if q_dtype is None else (w + 0.1 * rng.standard_normal(shape)).astype(q_dtype)
+        acc = rng.standard_normal(shape)
+        want = w.astype(np.float64)
+        if q is not None:
+            want = want - q.astype(np.float64)
+        want = want - acc
+        before = [a.tobytes() for a in (w, q) if a is not None]
+        _residual_into(acc, w, q)
+        assert acc.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in (w, q) if a is not None] == before
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0)])
+    def test_empty_matrix(self, shape):
+        acc = np.empty(shape)
+        _residual_into(acc, np.empty(shape, dtype=np.float32), np.empty(shape, dtype=np.float32))
+        assert acc.shape == shape
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
 @pytest.mark.parametrize("method", ["exact", "randomized"])
 def test_factorize_leaves_arguments_unchanged(method, weighted):

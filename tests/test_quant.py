@@ -488,6 +488,43 @@ def test_encode_decode_peak_memory(label):
     assert peak <= 4.5 * w.nbytes
 
 
+class TestEncoderParts:
+    """`_encode`'s (codes, scales, pack) and `_decode`'s given buffer, as the loop uses them."""
+
+    LABELS = ["3,8,fp32,64,256", "4,8,bf16,16,16", "2,2,fp16,7,5", "8,4,fp16,1000,16",
+              "2,3,fp32,1,1", "4,3,bf16,37,1"]
+    # 37 x 29 leaves a partial last block for most B0; 300 x 229 spans
+    # several chunks of block rows
+    SHAPES = [(37, 29), (300, 229)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("label", LABELS)
+    def test_decode_fills_the_buffer_it_is_given(self, label, shape):
+        w = gen_matrix("gaussian", *shape, seed=shape[0])
+        cfg = QuantConfig.parse(label)
+        codes, shat, _ = _encode(w, cfg)
+        kept = codes.tobytes(), shat.tobytes()
+        out = np.full(shape, np.nan, dtype=np.float32)
+        assert _decode(codes, shat, cfg, out) is out
+        assert out.tobytes() == dequantize(quantize_nf(w, cfg)).tobytes()
+        assert (codes.tobytes(), shat.tobytes()) == kept
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("label", LABELS)
+    def test_pack_after_decoding_over_the_target(self, label, shape):
+        # the loop decodes into the matrix it encoded and packs the
+        # winner later; the container must not read the overwritten values
+        w = gen_matrix("gaussian", *shape, seed=shape[1])
+        cfg = QuantConfig.parse(label)
+        target = w.copy()
+        codes, shat, pack = _encode(target, cfg)
+        _decode(codes, shat, cfg, target)
+        q, ref = pack(), quantize_nf(w, cfg)
+        assert (q.rows, q.cols, q.config) == (ref.rows, ref.cols, ref.config)
+        assert (q.codes, q.s_codes) == (ref.codes, ref.s_codes)
+        assert q.group_scales.tobytes() == ref.group_scales.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 7, 64, 65, 2 ** 15 + 3, 255 * 689])
 def test_chunks_walk_blocks_as_views(n):
     flat = np.arange(n, dtype=np.float64)
